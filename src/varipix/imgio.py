@@ -6,9 +6,9 @@ on-disk formats:
 
 * PGM, binary P5 or ASCII P2, maxval <= 255 (read), P5 maxval 255 (write).
 * Label maps: `labels <width> <height>` then <height> lines of <width>
-  space-separated integers.
+  space-separated region bits, each 0 or 1.
 * Raw dumps: `rawgray <width> <height>` then <height> lines of <width>
-  floats written with repr, so float64 values round-trip exactly.
+  finite floats written with repr, so float64 values round-trip exactly.
 """
 
 from __future__ import annotations
@@ -24,9 +24,12 @@ class ImageFormatError(ValueError):
 
 
 def as_image(data) -> GrayImage:
+    """View data as a GrayImage; rejects non-2-D shapes and nan/inf samples."""
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"image must be 2-D, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("image has non-finite samples (nan or inf)")
     return arr
 
 
@@ -135,6 +138,8 @@ def read_labelmap(path) -> LabelMap:
         labels = np.array([int(t) for t in tokens], dtype=np.int64)
     except ValueError:
         raise ImageFormatError("malformed label map: non-integer label") from None
+    if np.any((labels != 0) & (labels != 1)):
+        raise ImageFormatError("malformed label map: labels must be region bits 0 or 1")
     return labels.reshape(h, w)
 
 
@@ -167,6 +172,8 @@ def read_raw(path) -> GrayImage:
         samples = np.array([float(t) for t in tokens], dtype=np.float64)
     except ValueError:
         raise ImageFormatError("malformed raw dump: non-numeric sample") from None
+    if not np.isfinite(samples).all():
+        raise ImageFormatError("malformed raw dump: non-finite sample (nan or inf)")
     return samples.reshape(h, w)
 
 

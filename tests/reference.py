@@ -119,3 +119,28 @@ def naive_select_mask(block, maskset, criterion="recon-error"):
         if best_score is None or score < best_score:
             best_index, best_score = i, score
     return best_index, best_score
+
+
+def loop_select_apply(block, maskset, criterion="recon-error"):
+    """Per-block selection written as a numpy loop in the scan's reduction order.
+
+    naive_select_mask sums in plain Python and so agrees with the scan only
+    up to rounding. This loop pins the scan's ordering contract instead:
+    each region mean is numpy's mean of that region's cells gathered
+    row-major into a 1-D array, and the recon error is numpy's sum of the
+    36 squared deviations; ties go to the lowest index. The vectorized scan
+    must match it bit for bit. Returns (index, output block).
+    """
+    block = np.asarray(block, dtype=np.float64)
+    best_index, best_score, best_out = 0, None, None
+    for i, m in enumerate(maskset):
+        region0 = np.asarray(m.cells) == 0
+        m0, m1 = block[region0].mean(), block[~region0].mean()
+        out = np.where(region0, m0, m1)
+        if criterion == "recon-error":
+            score = float(((block - out) ** 2).sum())
+        else:
+            score = abs(float(m0) - float(m1))
+        if best_score is None or score < best_score:
+            best_index, best_score, best_out = i, score, out
+    return best_index, best_out

@@ -228,6 +228,30 @@ def test_exit_code_4_for_wrong_shape_labels(runner, tmp_path):
     assert result.exit_code == 4
 
 
+@pytest.mark.parametrize("mode", ["adaptive-literal", "adaptive-block"])
+def test_exit_code_4_for_labels_other_than_region_bits(runner, tmp_path, mode):
+    img = tmp_path / "x.pgm"
+    write_pgm(np.zeros((6, 12)), img)
+    labels = tmp_path / "l.txt"
+    labels.write_text("labels 12 6\n" + "2 0 0 0 0 0 0 0 0 0 0 0\n" + "0 " * 60 + "\n")
+    result = invoke(
+        runner, "filter", img, "--out", tmp_path / "f.pgm", "--mode", mode, "--labels", labels,
+    )
+    assert result.exit_code == 4
+    assert "region bits" in result.output
+
+
+def test_exit_code_4_for_non_finite_raw_sample(runner, tmp_path):
+    good = tmp_path / "a.rawimg"
+    good.write_text("rawgray 2 1\n1.0 2.0\n")
+    bad = tmp_path / "b.rawimg"
+    bad.write_text("rawgray 2 1\n1.0 nan\n")
+    result = invoke(runner, "psnr", good, bad)
+    assert result.exit_code == 4
+    assert "non-finite" in result.output
+    assert "nan" not in result.output.splitlines()
+
+
 def test_pgm_output_is_quantized(runner, tmp_path):
     img = tmp_path / "x.pgm"
     write_fixture(img)

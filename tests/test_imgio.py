@@ -132,11 +132,13 @@ def test_labelmap_round_trip(tmp_path, rng):
     assert np.array_equal(back, labels)
 
 
-def test_labelmap_round_trip_large_values(tmp_path):
-    labels = np.array([[0, 1], [4095, 4096]], dtype=np.int64)
-    path = tmp_path / "b.labels"
-    write_labelmap(labels, path)
-    assert np.array_equal(read_labelmap(path), labels)
+def test_labelmap_rejects_labels_other_than_region_bits(tmp_path):
+    # a label of 2 would alias the next block's bit 0 under block scoping
+    for bad in (2, -1, 4096):
+        path = tmp_path / f"b{bad}.labels"
+        write_labelmap(np.array([[0, 1], [1, bad]], dtype=np.int64), path)
+        with pytest.raises(ImageFormatError, match="region bits 0 or 1"):
+            read_labelmap(path)
 
 
 def test_labelmap_count_mismatch_rejected(tmp_path):
@@ -178,6 +180,16 @@ def test_raw_count_mismatch_rejected(tmp_path):
         read_raw(path)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "infinity"])
+def test_raw_non_finite_sample_rejected(tmp_path, token):
+    path = tmp_path / "d.rawimg"
+    path.write_text(f"rawgray 2 1\n1.0 {token}\n")
+    with pytest.raises(ImageFormatError, match="non-finite"):
+        read_raw(path)
+    with pytest.raises(ImageFormatError, match="non-finite"):
+        read_image(path)
+
+
 def test_read_image_sniffs_all_formats(tmp_path):
     img = np.array([[3.0, 5.0], [7.0, 9.0]])
     p5 = tmp_path / "x.pgm"
@@ -202,6 +214,14 @@ def test_as_image_rejects_non_2d():
         as_image(np.zeros(6))
     with pytest.raises(ValueError, match="2-D"):
         as_image(np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_as_image_rejects_non_finite(value):
+    img = np.zeros((3, 3))
+    img[1, 2] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        as_image(img)
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,28 +4,59 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varipix import (
+    adaptive_filter,
     apply_mask_to_block,
     block_labels,
     builtin_masks,
+    load_masks,
     pad_to_block_multiple,
     scan_parallel_fused,
     scan_square,
     scan_uniform,
     select_mask,
 )
-from varipix.scan import BLOCK
+from varipix.scan import BLOCK, CRITERIA
 
 from .conftest import random_image
 from .reference import (
+    loop_select_apply,
     naive_block_labels,
     naive_region_apply,
     naive_select_mask,
     naive_square_error,
 )
+
+# region 0 is row 0 plus four cells of row 1 (a 10/26 split); the second
+# mask is its complement, so the two tie exactly on every block
+UNEQUAL_MASKS = """\
+mask ten custom 0
+000000
+000011
+111111
+111111
+111111
+111111
+
+mask ten-inv custom 0
+111111
+111100
+000000
+000000
+000000
+000000
+
+mask tri custom 0
+111111
+011111
+001111
+000111
+000011
+000001
+"""
 
 
 def asym_gradient_block():
@@ -62,6 +93,23 @@ def test_scans_reject_non_multiple_dims(masks):
         scan_square(img)
     with pytest.raises(ValueError, match="not multiples of 6"):
         scan_parallel_fused(img, masks)
+
+
+def test_scans_reject_non_finite_samples(masks):
+    img = np.zeros((6, 6))
+    img[2, 3] = np.nan
+    for scan in (scan_square, lambda a: scan_parallel_fused(a, masks)):
+        with pytest.raises(ValueError, match="non-finite"):
+            scan(img)
+    with pytest.raises(ValueError, match="non-finite"):
+        select_mask(img, masks)
+
+
+def test_one_block_api_rejects_other_shapes(masks):
+    with pytest.raises(ValueError, match="6x6"):
+        select_mask(np.zeros((6, 12)), masks)
+    with pytest.raises(ValueError, match="6x6"):
+        apply_mask_to_block(np.zeros((5, 6)), masks[0])
 
 
 def test_apply_mask_constant_block_is_fixed_point(masks):
@@ -249,6 +297,74 @@ def test_fused_equals_direct_per_block_selection(masks, rng):
                 assert np.array_equal(bits, masks[index].cells.astype(np.int64))
 
 
+def naive_score(block, m, criterion):
+    out, err = naive_region_apply(block, m.cells)
+    if criterion == "recon-error":
+        return err
+    return abs(out[m.cells == 0][0] - out[m.cells == 1][0])
+
+
+def assert_fused_matches_per_block(img, maskset, criterion):
+    """The fused scan against three per-block paths, block by block.
+
+    The one-block API and the numpy loop reference must agree bit for bit;
+    the naive oracle sums in another order, so its pick may differ only
+    where the two scores are equal up to rounding and nonzero.
+    """
+    result = scan_parallel_fused(img, maskset, criterion)
+    for br in range(img.shape[0] // BLOCK):
+        for bc in range(img.shape[1] // BLOCK):
+            tile = np.s_[br * BLOCK : br * BLOCK + BLOCK, bc * BLOCK : bc * BLOCK + BLOCK]
+            block = img[tile]
+            index, _ = select_mask(block, maskset, criterion)
+            out, _ = apply_mask_to_block(block, maskset[index])
+            loop_index, loop_out = loop_select_apply(block, maskset, criterion)
+            assert result.chosen_masks[br, bc] == index == loop_index
+            assert np.array_equal(result.image[tile], out)
+            assert np.array_equal(out, loop_out)
+            assert np.array_equal(result.labels[tile], maskset[index].cells)
+            naive_index, naive_best = naive_select_mask(block, maskset, criterion)
+            if index != naive_index:
+                chosen = naive_score(block, maskset[index], criterion)
+                assert naive_best > 0
+                assert abs(chosen - naive_best) <= 1e-9 * naive_best
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**32 - 1), st.sampled_from(CRITERIA)
+)
+@example(h=6, w=6, seed=1, criterion="recon-error")
+@example(h=6, w=6, seed=1, criterion="mean-diff")
+@example(h=6, w=48, seed=2, criterion="recon-error")
+@example(h=48, w=6, seed=3, criterion="mean-diff")
+@example(h=13, w=29, seed=4, criterion="recon-error")
+def test_fused_matches_per_block_paths_property(h, w, seed, criterion):
+    # random floats make every region mean round: a reduction in another
+    # order than the loop reference shows up here in the last ulp
+    img = np.random.default_rng(seed).random((h, w)) * 255.0
+    assert_fused_matches_per_block(pad_to_block_multiple(img), builtin_masks(), criterion)
+
+
+def test_unequal_split_mask_file(tmp_path, rng):
+    path = tmp_path / "masks.txt"
+    path.write_text(UNEQUAL_MASKS)
+    maskset = load_masks(path)
+    assert [m.region_sizes() for m in maskset] == [(10, 26), (26, 10), (15, 21)]
+    img = random_image(rng, 24, 30)
+    for criterion in CRITERIA:
+        assert_fused_matches_per_block(img, maskset, criterion)
+        # the complement ties mask 0 exactly, so it can never win
+        assert not np.any(scan_parallel_fused(img, maskset, criterion).chosen_masks == 1)
+        flat = scan_parallel_fused(np.full((12, 18), 77.0), maskset, criterion)
+        assert np.all(flat.chosen_masks == 0)
+    # two-level blocks on mask 0's partition: masks 0 and 1 both reach zero error
+    img = np.tile(np.where(maskset[0].cells == 0, 20.0, 180.0), (2, 3))
+    result = scan_parallel_fused(img, maskset)
+    assert np.all(result.chosen_masks == 0)
+    assert np.array_equal(result.image, img)
+
+
 def test_fused_never_beaten_by_square(masks, rng):
     img = random_image(rng, 36, 36)
     result = scan_parallel_fused(img, masks)
@@ -304,6 +420,15 @@ def test_block_labels_formula():
     assert scoped[7, 13] == 10
 
 
+def test_block_labels_rejects_non_bits(rng):
+    labels = np.zeros((6, 12), dtype=np.int64)
+    labels[0, 0] = 2  # would alias block 1's bit 0
+    with pytest.raises(ValueError, match="region bits"):
+        block_labels(labels)
+    with pytest.raises(ValueError, match="region bits"):
+        adaptive_filter(random_image(rng, 6, 12), labels, 3, mode="block")
+
+
 def test_block_labels_commutes_with_cropping(masks, rng):
     img = random_image(rng, 20, 26)
     padded = pad_to_block_multiple(img)
@@ -333,3 +458,23 @@ def test_scan_mean_preservation_property(seed):
     for m in masks:
         out, _ = apply_mask_to_block(block, m)
         assert out.mean() == pytest.approx(block.mean(), abs=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_recon_error_is_sse_minus_region_contrast_property(seed):
+    # SSE = recon error + n0*n1/36*(m0-m1)^2; with every builtin mask split
+    # 15/21, minimizing recon error maximizes the contrast |m0 - m1|
+    masks = builtin_masks()
+    assert {m.region_sizes() for m in masks} == {(15, 21)}
+    block = np.random.default_rng(seed).random((6, 6)) * 255.0
+    sse = float(((block - block.mean()) ** 2).sum())
+    contrast = []
+    for m in masks:
+        n0, n1 = m.region_sizes()
+        m0, m1 = block[m.cells == 0].mean(), block[m.cells == 1].mean()
+        _, err = apply_mask_to_block(block, m)
+        assert abs(err - (sse - n0 * n1 / 36 * (m0 - m1) ** 2)) <= 1e-9 * sse
+        contrast.append(abs(m0 - m1))
+    index, _ = select_mask(block, masks)
+    assert contrast[index] >= max(contrast) * (1 - 1e-9)
