@@ -17,8 +17,10 @@ import argparse
 from pathlib import Path
 
 from varipix import PipelineConfig, run_pipeline, write_pgm
-from varipix.noise import NOISE_KINDS
+from varipix.filters import ADAPTIVE_MODES, STATISTICS
+from varipix.noise import DEFAULT_SEED, NOISE_KINDS
 from varipix.pipeline import PIPELINES
+from varipix.scan import CRITERIA
 from varipix.synth import fixture_images
 
 
@@ -28,10 +30,9 @@ def parse_args() -> argparse.Namespace:
     p.add_argument("--images", type=Path, default=None,
                    help="directory of input PGMs (default: generate the fixtures)")
     p.add_argument("--kernels", type=int, nargs="+", default=[3, 5, 7])
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--criterion", default="recon-error",
-                   choices=["recon-error", "mean-diff"])
-    p.add_argument("--adaptive-mode", default="literal", choices=["literal", "block"])
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--criterion", default="recon-error", choices=CRITERIA)
+    p.add_argument("--adaptive-mode", default="literal", choices=ADAPTIVE_MODES)
     return p.parse_args()
 
 
@@ -61,7 +62,7 @@ def main() -> None:
         criterion=args.criterion,
         seed=args.seed,
         kernels=tuple(args.kernels),
-        statistics=("mean", "median"),
+        statistics=STATISTICS,
         adaptive_mode=args.adaptive_mode,
         out_dir=args.out_dir,
     )

@@ -15,7 +15,7 @@ from .scan import (
     select_mask,
 )
 from .noise import NoiseSpec, add_gaussian, add_salt_pepper, add_speckle, apply_noise
-from .filters import FilterSpec, adaptive_filter, box_filter, median
+from .filters import adaptive_filter, box_filter
 from .metrics import QualityReport, mse, psnr
 from .pipeline import PipelineConfig, PsnrRow, evaluate_image, run_pipeline, scan_variants
 
@@ -49,10 +49,8 @@ __all__ = [
     "add_salt_pepper",
     "add_speckle",
     "apply_noise",
-    "FilterSpec",
     "adaptive_filter",
     "box_filter",
-    "median",
     "QualityReport",
     "mse",
     "psnr",

@@ -17,11 +17,19 @@ from pathlib import Path
 
 import click
 
-from .filters import adaptive_filter, box_filter
+from .filters import ADAPTIVE_MODES, FILTER_MODES, STATISTICS, adaptive_filter, box_filter, check_kernel
 from .imgio import ImageFormatError, read_image, read_labelmap, write_labelmap, write_pgm, write_raw
 from .masks import MaskError, builtin_masks, format_masks, save_masks
 from .metrics import psnr
-from .noise import NoiseSpec, apply_noise
+from .noise import (
+    DEFAULT_DENSITY,
+    DEFAULT_SEED,
+    DEFAULT_SIGMA,
+    DEFAULT_VARIANCE,
+    NOISE_KINDS,
+    NoiseSpec,
+    apply_noise,
+)
 from .pipeline import PipelineConfig, format_db, load_mask_source, run_pipeline, scan_variants
 from .scan import CRITERIA, pad_to_block_multiple, scan_square
 
@@ -46,8 +54,10 @@ def cli_errors(f):
 def _odd_kernel(ctx, param, value):
     values = value if isinstance(value, tuple) else (value,)
     for k in values:
-        if k < 1 or k % 2 == 0:
-            raise click.BadParameter(f"kernel size must be an odd integer >= 1, got {k}")
+        try:
+            check_kernel(k)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc)) from None
     return value
 
 
@@ -81,7 +91,7 @@ def masks_cmd(out):
 @click.option("--labels", type=click.Path(path_type=Path), default=None, help="Also write the label map here.")
 @click.option("--layout", type=click.Choice(["square", "variable"]), default="variable", show_default=True)
 @click.option("--masks", "mask_path", type=click.Path(path_type=Path), default=None, help="Mask set file (default: builtin).")
-@click.option("--criterion", type=click.Choice(list(CRITERIA)), default="recon-error", show_default=True)
+@click.option("--criterion", type=click.Choice(CRITERIA), default="recon-error", show_default=True)
 @click.option("--raw", is_flag=True, help="Write the lossless raw dump instead of PGM.")
 @cli_errors
 def scan_cmd(input, out, labels, layout, mask_path, criterion, raw):
@@ -103,11 +113,11 @@ def scan_cmd(input, out, labels, layout, mask_path, criterion, raw):
 @main.command("noise")
 @click.argument("input", type=click.Path(path_type=Path))
 @click.option("--out", required=True, type=click.Path(path_type=Path))
-@click.option("--kind", type=click.Choice(["salt_pepper", "gaussian", "speckle"]), required=True)
-@click.option("--density", type=float, default=0.05, show_default=True, help="salt_pepper corruption probability.")
-@click.option("--sigma", type=float, default=25.5, show_default=True, help="gaussian std-dev on [0,255].")
-@click.option("--variance", type=float, default=0.04, show_default=True, help="speckle multiplicative variance.")
-@click.option("--seed", type=int, default=42, show_default=True)
+@click.option("--kind", type=click.Choice(NOISE_KINDS), required=True)
+@click.option("--density", type=float, default=DEFAULT_DENSITY, show_default=True, help="salt_pepper corruption probability.")
+@click.option("--sigma", type=float, default=DEFAULT_SIGMA, show_default=True, help="gaussian std-dev on [0,255].")
+@click.option("--variance", type=float, default=DEFAULT_VARIANCE, show_default=True, help="speckle multiplicative variance.")
+@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--raw", is_flag=True)
 @cli_errors
 def noise_cmd(input, out, kind, density, sigma, variance, seed, raw):
@@ -121,13 +131,8 @@ def noise_cmd(input, out, kind, density, sigma, variance, seed, raw):
 @click.argument("input", type=click.Path(path_type=Path))
 @click.option("--out", required=True, type=click.Path(path_type=Path))
 @click.option("--kernel", type=int, default=5, show_default=True, callback=_odd_kernel)
-@click.option("--statistic", type=click.Choice(["mean", "median"]), default="mean", show_default=True)
-@click.option(
-    "--mode",
-    type=click.Choice(["square", "adaptive-literal", "adaptive-block"]),
-    default="square",
-    show_default=True,
-)
+@click.option("--statistic", type=click.Choice(STATISTICS), default="mean", show_default=True)
+@click.option("--mode", type=click.Choice(FILTER_MODES), default="square", show_default=True)
 @click.option("--labels", type=click.Path(path_type=Path), default=None, help="Label map (adaptive modes).")
 @click.option("--raw", is_flag=True)
 @cli_errors
@@ -161,24 +166,24 @@ def psnr_cmd(reference, test):
     "--noise",
     "noise_kinds",
     multiple=True,
-    type=click.Choice(["salt_pepper", "gaussian", "speckle"]),
+    type=click.Choice(NOISE_KINDS),
     help="Noise kinds to run (default: all three).",
 )
-@click.option("--density", type=float, default=0.05, show_default=True)
-@click.option("--sigma", type=float, default=25.5, show_default=True)
-@click.option("--variance", type=float, default=0.04, show_default=True)
-@click.option("--seed", type=int, default=42, show_default=True)
+@click.option("--density", type=float, default=DEFAULT_DENSITY, show_default=True)
+@click.option("--sigma", type=float, default=DEFAULT_SIGMA, show_default=True)
+@click.option("--variance", type=float, default=DEFAULT_VARIANCE, show_default=True)
+@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--kernel", "kernels", multiple=True, type=int, callback=_odd_kernel, help="Kernel sizes (default: 5).")
 @click.option(
     "--statistic",
     "statistics",
     multiple=True,
-    type=click.Choice(["mean", "median"]),
+    type=click.Choice(STATISTICS),
     help="Statistics to run (default: both).",
 )
 @click.option("--masks", "mask_path", type=click.Path(path_type=Path), default=None)
-@click.option("--criterion", type=click.Choice(list(CRITERIA)), default="recon-error", show_default=True)
-@click.option("--adaptive-mode", type=click.Choice(["literal", "block"]), default="literal", show_default=True)
+@click.option("--criterion", type=click.Choice(CRITERIA), default="recon-error", show_default=True)
+@click.option("--adaptive-mode", type=click.Choice(ADAPTIVE_MODES), default="literal", show_default=True)
 @click.option("--dump-intermediates", is_flag=True, help="Write scanned/noisy/filtered images and label maps.")
 @click.option("--raw-intermediates", is_flag=True, help="Dump intermediates as lossless raw dumps.")
 @cli_errors
@@ -211,13 +216,13 @@ def run_cmd(
         inputs=tuple(expanded),
         mask_path=mask_path,
         criterion=criterion,
-        noise_kinds=noise_kinds or ("salt_pepper", "gaussian", "speckle"),
+        noise_kinds=noise_kinds or NOISE_KINDS,
         density=density,
         sigma=sigma,
         variance=variance,
         seed=seed,
         kernels=kernels or (5,),
-        statistics=statistics or ("mean", "median"),
+        statistics=statistics or STATISTICS,
         adaptive_mode=adaptive_mode,
         out_dir=out_dir,
         dump_intermediates=dump_intermediates,

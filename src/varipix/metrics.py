@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .imgio import as_image
+
 
 @dataclass(frozen=True)
 class QualityReport:
@@ -15,8 +17,8 @@ class QualityReport:
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = as_image(a)
+    b = as_image(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.mean((a - b) ** 2))

@@ -21,16 +21,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .imgio import as_image
+
 NOISE_KINDS = ("salt_pepper", "gaussian", "speckle")
+# The one definition of the noise defaults; NoiseSpec, PipelineConfig and the CLI read them.
+DEFAULT_DENSITY = 0.05
+DEFAULT_SIGMA = 25.5
+DEFAULT_VARIANCE = 0.04
+DEFAULT_SEED = 42
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
     kind: str
-    density: float = 0.05  # salt_pepper: per-pixel corruption probability
-    sigma: float = 25.5  # gaussian: std-dev on the [0, 255] scale
-    variance: float = 0.04  # speckle: variance of the multiplicative normal
-    seed: int = 42
+    density: float = DEFAULT_DENSITY  # salt_pepper: per-pixel corruption probability
+    sigma: float = DEFAULT_SIGMA  # gaussian: std-dev on the [0, 255] scale
+    variance: float = DEFAULT_VARIANCE  # speckle: variance of the multiplicative normal
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
@@ -63,7 +70,7 @@ def add_salt_pepper(img: np.ndarray, density: float, seed: int) -> np.ndarray:
     """Corrupt each pixel to 0 or 255 (equal odds) with probability density."""
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
-    img = np.asarray(img, dtype=np.float64)
+    img = as_image(img)
     rng = _rng(seed)
     corrupt = rng.random(img.size) < density
     flips = rng.random(int(corrupt.sum()))
@@ -76,7 +83,7 @@ def add_gaussian(img: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     """Add i.i.d. normal(0, sigma^2) and clip to [0, 255]."""
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    img = np.asarray(img, dtype=np.float64)
+    img = as_image(img)
     z = _standard_normals(_rng(seed), img.size).reshape(img.shape)
     return np.clip(img + sigma * z, 0.0, 255.0)
 
@@ -85,7 +92,7 @@ def add_speckle(img: np.ndarray, variance: float, seed: int) -> np.ndarray:
     """Multiplicative noise: clip(img + img * n, 0, 255), n ~ normal(0, variance)."""
     if variance < 0:
         raise ValueError(f"variance must be >= 0, got {variance}")
-    img = np.asarray(img, dtype=np.float64)
+    img = as_image(img)
     z = _standard_normals(_rng(seed), img.size).reshape(img.shape)
     return np.clip(img + img * (np.sqrt(variance) * z), 0.0, 255.0)
 

@@ -23,7 +23,15 @@ from .filters import STATISTICS, adaptive_filter, box_filter
 from .imgio import read_image, write_labelmap, write_pgm, write_raw
 from .masks import MaskSet, builtin_masks, load_masks
 from .metrics import psnr
-from .noise import NOISE_KINDS, NoiseSpec, apply_noise
+from .noise import (
+    DEFAULT_DENSITY,
+    DEFAULT_SEED,
+    DEFAULT_SIGMA,
+    DEFAULT_VARIANCE,
+    NOISE_KINDS,
+    NoiseSpec,
+    apply_noise,
+)
 from .scan import pad_to_block_multiple, scan_parallel_fused, scan_square
 
 CSV_HEADER = "image,noise,pipeline,statistic,kernel,psnr_db"
@@ -36,12 +44,12 @@ class PipelineConfig:
     mask_path: Path | None = None  # None selects the builtin eight-mask set
     criterion: str = "recon-error"
     noise_kinds: tuple[str, ...] = NOISE_KINDS
-    density: float = 0.05
-    sigma: float = 25.5
-    variance: float = 0.04
-    seed: int = 42
+    density: float = DEFAULT_DENSITY
+    sigma: float = DEFAULT_SIGMA
+    variance: float = DEFAULT_VARIANCE
+    seed: int = DEFAULT_SEED
     kernels: tuple[int, ...] = (5,)
-    statistics: tuple[str, ...] = ("mean", "median")
+    statistics: tuple[str, ...] = STATISTICS
     adaptive_mode: str = "literal"
     out_dir: Path | None = None
     dump_intermediates: bool = False

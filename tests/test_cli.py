@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from varipix import load_masks, read_pgm, read_raw, write_pgm
+from varipix import NoiseSpec, PipelineConfig, apply_noise, load_masks, read_pgm, read_raw, run_pipeline, write_pgm
 from varipix.cli import main
+from varipix.noise import NOISE_KINDS
 from varipix.pipeline import CSV_HEADER
 from varipix.synth import disks
 
@@ -250,6 +251,20 @@ def test_exit_code_4_for_non_finite_raw_sample(runner, tmp_path):
     assert result.exit_code == 4
     assert "non-finite" in result.output
     assert "nan" not in result.output.splitlines()
+
+
+def test_noise_and_run_defaults_match_library_defaults(runner, tmp_path):
+    img = tmp_path / "x.pgm"
+    write_fixture(img)
+    for kind in NOISE_KINDS:
+        out = tmp_path / f"{kind}.pgm"
+        assert invoke(runner, "noise", img, "--out", out, "--kind", kind).exit_code == 0
+        want = tmp_path / f"{kind}_lib.pgm"
+        write_pgm(apply_noise(read_pgm(img), NoiseSpec(kind)), want)
+        assert out.read_bytes() == want.read_bytes()
+    assert invoke(runner, "run", img, "--out-dir", tmp_path / "cli").exit_code == 0
+    run_pipeline(PipelineConfig(inputs=(img,), out_dir=tmp_path / "lib"))
+    assert (tmp_path / "cli" / "psnr.csv").read_bytes() == (tmp_path / "lib" / "psnr.csv").read_bytes()
 
 
 def test_pgm_output_is_quantized(runner, tmp_path):

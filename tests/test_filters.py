@@ -4,32 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from varipix import FilterSpec, adaptive_filter, box_filter, median
+from varipix import adaptive_filter, box_filter
+from varipix.filters import ADAPTIVE_MODES, STATISTICS
 
 from .conftest import random_image, random_labels
 from .reference import naive_adaptive_filter
-
-
-def test_median_singleton():
-    assert median([5.0]) == 5.0
-
-
-def test_median_even_takes_midpoint():
-    assert median([1.0, 2.0, 3.0, 4.0]) == 2.5
-    assert median([4.0, 1.0]) == 2.5
-
-
-def test_median_odd_takes_middle(rng):
-    values = rng.random(25) * 255.0
-    assert median(values) == sorted(values)[12]
-
-
-def test_median_empty_rejected():
-    with pytest.raises(ValueError, match="empty"):
-        median([])
 
 
 def test_box_center_impulse():
@@ -198,15 +180,41 @@ def test_shrinking_window_never_grows_candidates(rng):
     assert np.all(c7 >= c5)
 
 
-def test_filterspec_validation():
-    spec = FilterSpec()
-    assert (spec.k, spec.statistic, spec.mode) == (5, "mean", "adaptive-literal")
-    with pytest.raises(ValueError, match="odd integer"):
-        FilterSpec(k=4)
-    with pytest.raises(ValueError, match="statistic"):
-        FilterSpec(statistic="max")
-    with pytest.raises(ValueError, match="filter mode"):
-        FilterSpec(mode="adaptive")
+def test_huge_finite_median_does_not_overflow():
+    # an odd candidate count returns the middle value itself, never 0.5 * (x + x)
+    img = np.full((1, 3), 1e308)
+    labels = np.zeros((1, 3), dtype=np.int64)
+    want = naive_adaptive_filter(img, labels, 3, "median")
+    assert np.all(want == 1e308)
+    assert np.array_equal(box_filter(img, 3, statistic="median"), want)
+    for mode in ADAPTIVE_MODES:
+        assert np.array_equal(adaptive_filter(img, labels, 3, statistic="median", mode=mode), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 20),
+    st.integers(1, 20),
+    st.sampled_from([1, 3, 5, 7, 9]),
+    st.sampled_from(STATISTICS),
+    st.sampled_from(ADAPTIVE_MODES),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 13, 5, "median", "literal", True, 0)
+@example(11, 1, 7, "mean", "block", False, 1)
+@example(2, 3, 9, "median", "block", True, 2)
+def test_filters_match_oracle_bit_for_bit(h, w, k, statistic, mode, integer_valued, seed):
+    gen = np.random.default_rng(seed)
+    img = gen.random((h, w)) * 255.0
+    if integer_valued:
+        img = np.floor(img / 32.0)  # eight levels, so windows hold rank ties
+    labels = gen.integers(0, 2, size=(h, w), dtype=np.int64)
+    got = adaptive_filter(img, labels, k, statistic=statistic, mode=mode)
+    assert np.array_equal(got, naive_adaptive_filter(img, labels, k, statistic, mode=mode))
+    # the box filter is the adaptive filter whose labels are all equal
+    flat = np.zeros((h, w), dtype=np.int64)
+    assert np.array_equal(box_filter(img, k, statistic=statistic), naive_adaptive_filter(img, flat, k, statistic))
 
 
 @settings(max_examples=20, deadline=None)

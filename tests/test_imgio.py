@@ -8,7 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from varipix import read_image, read_labelmap, read_pgm, read_raw, write_labelmap, write_pgm, write_raw
+from varipix import (
+    adaptive_filter,
+    add_gaussian,
+    add_salt_pepper,
+    add_speckle,
+    box_filter,
+    mse,
+    psnr,
+    read_image,
+    read_labelmap,
+    read_pgm,
+    read_raw,
+    write_labelmap,
+    write_pgm,
+    write_raw,
+)
 from varipix.imgio import ImageFormatError, as_image, quantize
 
 
@@ -222,6 +237,31 @@ def test_as_image_rejects_non_finite(value):
     img[1, 2] = value
     with pytest.raises(ValueError, match="non-finite"):
         as_image(img)
+
+
+ENTRY_POINTS = {
+    "box_filter": lambda img: box_filter(img, 3),
+    "adaptive_filter": lambda img: adaptive_filter(img, np.zeros(img.shape, dtype=np.int64), 3),
+    "add_salt_pepper": lambda img: add_salt_pepper(img, 0.05, seed=1),
+    "add_gaussian": lambda img: add_gaussian(img, 25.5, seed=1),
+    "add_speckle": lambda img: add_speckle(img, 0.04, seed=1),
+    "mse": lambda img: mse(np.zeros(img.shape), img),
+    "psnr": lambda img: psnr(np.zeros(img.shape), img),
+}
+
+
+@pytest.mark.parametrize(
+    "img, message",
+    [
+        (np.array([[1.0, np.nan], [2.0, 3.0]]), "non-finite"),
+        (np.array([[1.0, 2.0], [-np.inf, 3.0]]), "non-finite"),
+        (np.zeros((2, 2, 2)), "2-D"),
+    ],
+)
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_library_entry_points_reject_bad_images(entry, img, message):
+    with pytest.raises(ValueError, match=message):
+        ENTRY_POINTS[entry](img)
 
 
 @settings(max_examples=30, deadline=None)
