@@ -17,10 +17,10 @@ import argparse
 from pathlib import Path
 
 from varipix import PipelineConfig, run_pipeline, write_pgm
-from varipix.filters import ADAPTIVE_MODES, STATISTICS
+from varipix.filters import ADAPTIVE_MODES, DEFAULT_ADAPTIVE_MODE, STATISTICS
 from varipix.noise import DEFAULT_SEED, NOISE_KINDS
 from varipix.pipeline import PIPELINES
-from varipix.scan import CRITERIA
+from varipix.scan import CRITERIA, DEFAULT_CRITERION
 from varipix.synth import fixture_images
 
 
@@ -31,8 +31,8 @@ def parse_args() -> argparse.Namespace:
                    help="directory of input PGMs (default: generate the fixtures)")
     p.add_argument("--kernels", type=int, nargs="+", default=[3, 5, 7])
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--criterion", default="recon-error", choices=CRITERIA)
-    p.add_argument("--adaptive-mode", default="literal", choices=ADAPTIVE_MODES)
+    p.add_argument("--criterion", default=DEFAULT_CRITERION, choices=CRITERIA)
+    p.add_argument("--adaptive-mode", default=DEFAULT_ADAPTIVE_MODE, choices=ADAPTIVE_MODES)
     return p.parse_args()
 
 

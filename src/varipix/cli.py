@@ -17,7 +17,16 @@ from pathlib import Path
 
 import click
 
-from .filters import ADAPTIVE_MODES, FILTER_MODES, STATISTICS, adaptive_filter, box_filter, check_kernel
+from .filters import (
+    ADAPTIVE_MODES,
+    DEFAULT_ADAPTIVE_MODE,
+    DEFAULT_KERNEL,
+    FILTER_MODES,
+    STATISTICS,
+    adaptive_filter,
+    box_filter,
+    check_kernel,
+)
 from .imgio import ImageFormatError, read_image, read_labelmap, write_labelmap, write_pgm, write_raw
 from .masks import MaskError, builtin_masks, format_masks, save_masks
 from .metrics import psnr
@@ -31,7 +40,7 @@ from .noise import (
     apply_noise,
 )
 from .pipeline import PipelineConfig, format_db, load_mask_source, run_pipeline, scan_variants
-from .scan import CRITERIA, pad_to_block_multiple, scan_square
+from .scan import CRITERIA, DEFAULT_CRITERION, pad_to_block_multiple, scan_square
 
 
 def cli_errors(f):
@@ -91,7 +100,7 @@ def masks_cmd(out):
 @click.option("--labels", type=click.Path(path_type=Path), default=None, help="Also write the label map here.")
 @click.option("--layout", type=click.Choice(["square", "variable"]), default="variable", show_default=True)
 @click.option("--masks", "mask_path", type=click.Path(path_type=Path), default=None, help="Mask set file (default: builtin).")
-@click.option("--criterion", type=click.Choice(CRITERIA), default="recon-error", show_default=True)
+@click.option("--criterion", type=click.Choice(CRITERIA), default=DEFAULT_CRITERION, show_default=True)
 @click.option("--raw", is_flag=True, help="Write the lossless raw dump instead of PGM.")
 @cli_errors
 def scan_cmd(input, out, labels, layout, mask_path, criterion, raw):
@@ -130,7 +139,7 @@ def noise_cmd(input, out, kind, density, sigma, variance, seed, raw):
 @main.command("filter")
 @click.argument("input", type=click.Path(path_type=Path))
 @click.option("--out", required=True, type=click.Path(path_type=Path))
-@click.option("--kernel", type=int, default=5, show_default=True, callback=_odd_kernel)
+@click.option("--kernel", type=int, default=DEFAULT_KERNEL, show_default=True, callback=_odd_kernel)
 @click.option("--statistic", type=click.Choice(STATISTICS), default="mean", show_default=True)
 @click.option("--mode", type=click.Choice(FILTER_MODES), default="square", show_default=True)
 @click.option("--labels", type=click.Path(path_type=Path), default=None, help="Label map (adaptive modes).")
@@ -173,7 +182,7 @@ def psnr_cmd(reference, test):
 @click.option("--sigma", type=float, default=DEFAULT_SIGMA, show_default=True)
 @click.option("--variance", type=float, default=DEFAULT_VARIANCE, show_default=True)
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.option("--kernel", "kernels", multiple=True, type=int, callback=_odd_kernel, help="Kernel sizes (default: 5).")
+@click.option("--kernel", "kernels", multiple=True, type=int, callback=_odd_kernel, help=f"Kernel sizes (default: {DEFAULT_KERNEL}).")
 @click.option(
     "--statistic",
     "statistics",
@@ -182,8 +191,8 @@ def psnr_cmd(reference, test):
     help="Statistics to run (default: both).",
 )
 @click.option("--masks", "mask_path", type=click.Path(path_type=Path), default=None)
-@click.option("--criterion", type=click.Choice(CRITERIA), default="recon-error", show_default=True)
-@click.option("--adaptive-mode", type=click.Choice(ADAPTIVE_MODES), default="literal", show_default=True)
+@click.option("--criterion", type=click.Choice(CRITERIA), default=DEFAULT_CRITERION, show_default=True)
+@click.option("--adaptive-mode", type=click.Choice(ADAPTIVE_MODES), default=DEFAULT_ADAPTIVE_MODE, show_default=True)
 @click.option("--dump-intermediates", is_flag=True, help="Write scanned/noisy/filtered images and label maps.")
 @click.option("--raw-intermediates", is_flag=True, help="Dump intermediates as lossless raw dumps.")
 @cli_errors
@@ -221,7 +230,7 @@ def run_cmd(
         sigma=sigma,
         variance=variance,
         seed=seed,
-        kernels=kernels or (5,),
+        kernels=kernels or (DEFAULT_KERNEL,),
         statistics=statistics or STATISTICS,
         adaptive_mode=adaptive_mode,
         out_dir=out_dir,

@@ -4,7 +4,8 @@ Images travel through the pipeline as 2-D float64 arrays with intensities
 in [0, 255]; quantization to 8 bits happens only when writing PGM. Three
 on-disk formats:
 
-* PGM, binary P5 or ASCII P2, maxval <= 255 (read), P5 maxval 255 (write).
+* PGM, binary P5 or ASCII P2, maxval <= 255 (read, rescaled to 0..255),
+  P5 maxval 255 (write).
 * Label maps: `labels <width> <height>` then <height> lines of <width>
   space-separated region bits, each 0 or 1.
 * Raw dumps: `rawgray <width> <height>` then <height> lines of <width>
@@ -52,7 +53,11 @@ def _tokenize_pgm_header(buf: bytes):
 
 
 def read_pgm(path) -> GrayImage:
-    """Read a P5 (binary) or P2 (ASCII) PGM with maxval <= 255."""
+    """Read a P5 (binary) or P2 (ASCII) PGM with maxval <= 255.
+
+    Samples are rescaled from 0..maxval to 0..255, so white is 255.0
+    whatever the maxval; maxval 255 samples are returned as they are.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
 
@@ -93,7 +98,10 @@ def read_pgm(path) -> GrayImage:
             raise ImageFormatError("malformed PGM data: non-integer sample") from None
     if samples.max(initial=0) > maxval or samples.min(initial=0) < 0:
         raise ImageFormatError(f"malformed PGM data: sample outside [0, {maxval}]")
-    return samples.reshape(height, width).astype(np.float64)
+    img = samples.reshape(height, width).astype(np.float64)
+    if maxval < 255:
+        img = img * 255.0 / maxval  # onto 0..255, where noise clipping and the PSNR peak live
+    return img
 
 
 def quantize(img: GrayImage) -> np.ndarray:
@@ -111,12 +119,12 @@ def write_pgm(img: GrayImage, path) -> None:
 
 
 def write_labelmap(labels: LabelMap, path) -> None:
-    labels = np.asarray(labels)
+    labels = np.asarray(labels).astype(np.int64, copy=False)
     h, w = labels.shape
     with open(path, "w") as fh:
         fh.write(f"labels {w} {h}\n")
         for row in labels:
-            fh.write(" ".join(str(int(v)) for v in row))
+            fh.write(" ".join(map(str, row.tolist())))
             fh.write("\n")
 
 
@@ -149,8 +157,8 @@ def write_raw(img: GrayImage, path) -> None:
     h, w = img.shape
     with open(path, "w") as fh:
         fh.write(f"rawgray {w} {h}\n")
-        for row in img:
-            fh.write(" ".join(repr(float(v)) for v in row))
+        for row in img:  # one row of Python floats at a time, not the whole image
+            fh.write(" ".join(map(repr, row.tolist())))
             fh.write("\n")
 
 

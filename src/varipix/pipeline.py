@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .filters import STATISTICS, adaptive_filter, box_filter
+from .filters import DEFAULT_ADAPTIVE_MODE, DEFAULT_KERNEL, STATISTICS, adaptive_filter, box_filter
 from .imgio import read_image, write_labelmap, write_pgm, write_raw
 from .masks import MaskSet, builtin_masks, load_masks
 from .metrics import psnr
@@ -32,7 +32,7 @@ from .noise import (
     NoiseSpec,
     apply_noise,
 )
-from .scan import pad_to_block_multiple, scan_parallel_fused, scan_square
+from .scan import DEFAULT_CRITERION, pad_to_block_multiple, scan_parallel_fused, scan_square
 
 CSV_HEADER = "image,noise,pipeline,statistic,kernel,psnr_db"
 PIPELINES = ("square", "variable", "adaptive")
@@ -42,15 +42,15 @@ PIPELINES = ("square", "variable", "adaptive")
 class PipelineConfig:
     inputs: tuple[Path, ...]
     mask_path: Path | None = None  # None selects the builtin eight-mask set
-    criterion: str = "recon-error"
+    criterion: str = DEFAULT_CRITERION
     noise_kinds: tuple[str, ...] = NOISE_KINDS
     density: float = DEFAULT_DENSITY
     sigma: float = DEFAULT_SIGMA
     variance: float = DEFAULT_VARIANCE
     seed: int = DEFAULT_SEED
-    kernels: tuple[int, ...] = (5,)
+    kernels: tuple[int, ...] = (DEFAULT_KERNEL,)
     statistics: tuple[str, ...] = STATISTICS
-    adaptive_mode: str = "literal"
+    adaptive_mode: str = DEFAULT_ADAPTIVE_MODE
     out_dir: Path | None = None
     dump_intermediates: bool = False
     raw_intermediates: bool = False
@@ -88,7 +88,7 @@ def rows_to_csv(rows: list[PsnrRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scan_variants(img, maskset: MaskSet, criterion: str = "recon-error"):
+def scan_variants(img, maskset: MaskSet, criterion: str = DEFAULT_CRITERION):
     """Pad, run both scans, crop back to the original pixel area.
 
     Returns (square image, variable image, variable label map).

@@ -24,6 +24,7 @@ from .masks import MASK_SIZE, Mask, MaskSet
 BLOCK = MASK_SIZE
 
 CRITERIA = ("recon-error", "mean-diff")
+DEFAULT_CRITERION = "recon-error"
 
 
 @dataclass
@@ -116,7 +117,7 @@ def apply_mask_to_block(block: np.ndarray, m: Mask):
     return out.reshape(BLOCK, BLOCK), float(err[0])
 
 
-def select_mask(block: np.ndarray, maskset: MaskSet, criterion: str = "recon-error"):
+def select_mask(block: np.ndarray, maskset: MaskSet, criterion: str = DEFAULT_CRITERION):
     """Pick the best mask for one block; ties go to the lowest index.
 
     `recon-error` minimizes the squared deviation of apply_mask_to_block;
@@ -140,7 +141,7 @@ def scan_uniform(img: np.ndarray, m: Mask) -> ScanResult:
 
 
 def scan_parallel_fused(
-    img: np.ndarray, maskset: MaskSet, criterion: str = "recon-error"
+    img: np.ndarray, maskset: MaskSet, criterion: str = DEFAULT_CRITERION
 ) -> ScanResult:
     """Run all uniform scans and keep, per block, the selected mask's block.
 

@@ -2,14 +2,34 @@
 
 from __future__ import annotations
 
+import importlib.util
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from varipix import NoiseSpec, PipelineConfig, apply_noise, load_masks, read_pgm, read_raw, run_pipeline, write_pgm
+from varipix import (
+    NoiseSpec,
+    PipelineConfig,
+    adaptive_filter,
+    apply_noise,
+    box_filter,
+    load_masks,
+    read_pgm,
+    read_raw,
+    run_pipeline,
+    scan_parallel_fused,
+    scan_variants,
+    select_mask,
+    write_pgm,
+)
 from varipix.cli import main
+from varipix.filters import DEFAULT_ADAPTIVE_MODE, DEFAULT_KERNEL
 from varipix.noise import NOISE_KINDS
 from varipix.pipeline import CSV_HEADER
+from varipix.scan import DEFAULT_CRITERION
 from varipix.synth import disks
 
 
@@ -263,8 +283,32 @@ def test_noise_and_run_defaults_match_library_defaults(runner, tmp_path):
         write_pgm(apply_noise(read_pgm(img), NoiseSpec(kind)), want)
         assert out.read_bytes() == want.read_bytes()
     assert invoke(runner, "run", img, "--out-dir", tmp_path / "cli").exit_code == 0
-    run_pipeline(PipelineConfig(inputs=(img,), out_dir=tmp_path / "lib"))
+    rows = run_pipeline(PipelineConfig(inputs=(img,), out_dir=tmp_path / "lib"))
     assert (tmp_path / "cli" / "psnr.csv").read_bytes() == (tmp_path / "lib" / "psnr.csv").read_bytes()
+    assert {r.kernel for r in rows} == {DEFAULT_KERNEL}
+    out = tmp_path / "filtered.pgm"
+    assert invoke(runner, "filter", img, "--out", out).exit_code == 0
+    write_pgm(box_filter(read_pgm(img), DEFAULT_KERNEL), tmp_path / "filtered_lib.pgm")
+    assert out.read_bytes() == (tmp_path / "filtered_lib.pgm").read_bytes()
+
+
+def test_retyped_defaults_read_one_constant(monkeypatch, tmp_path):
+    option = {(name, p.name): p.default for name, cmd in main.commands.items() for p in cmd.params}
+    assert option["filter", "kernel"] == DEFAULT_KERNEL
+    assert PipelineConfig.kernels == (DEFAULT_KERNEL,)
+    assert option["scan", "criterion"] == option["run", "criterion"] == DEFAULT_CRITERION
+    assert option["run", "adaptive_mode"] == DEFAULT_ADAPTIVE_MODE
+    assert (PipelineConfig.criterion, PipelineConfig.adaptive_mode) == (DEFAULT_CRITERION, DEFAULT_ADAPTIVE_MODE)
+    for fn in (scan_variants, scan_parallel_fused, select_mask):
+        assert inspect.signature(fn).parameters["criterion"].default == DEFAULT_CRITERION
+    assert inspect.signature(adaptive_filter).parameters["mode"].default == DEFAULT_ADAPTIVE_MODE
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"
+    spec = importlib.util.spec_from_file_location("run_experiment", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr("sys.argv", ["run_experiment.py", "--out-dir", str(tmp_path)])
+    args = script.parse_args()
+    assert (args.criterion, args.adaptive_mode) == (DEFAULT_CRITERION, DEFAULT_ADAPTIVE_MODE)
 
 
 def test_pgm_output_is_quantized(runner, tmp_path):

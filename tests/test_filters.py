@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from varipix import adaptive_filter, box_filter
+from varipix import adaptive_filter, box_filter, filters
 from varipix.filters import ADAPTIVE_MODES, STATISTICS
+from varipix.synth import disks
 
 from .conftest import random_image, random_labels
 from .reference import naive_adaptive_filter
@@ -241,3 +245,99 @@ def test_adaptive_mean_affine_equivariance(seed):
     base = adaptive_filter(img, labels, 3, statistic="mean")
     shifted = adaptive_filter(a * img + b, labels, 3, statistic="mean")
     np.testing.assert_allclose(shifted, a * base + b, rtol=0, atol=1e-9)
+
+
+def _all_filters(img, labels, k, statistic):
+    out = {mode: adaptive_filter(img, labels, k, statistic=statistic, mode=mode) for mode in ADAPTIVE_MODES}
+    out["box"] = box_filter(img, k, statistic=statistic)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 3, 9])
+@pytest.mark.parametrize("statistic", STATISTICS)
+@pytest.mark.parametrize("integer_valued", [False, True])
+def test_band_height_and_worker_count_never_change_a_bit(monkeypatch, k, statistic, integer_valued):
+    # 23 rows: neither the 7-row bands nor the 6x6 blocks divide it, and
+    # 7-row bands cut through blocks; k = 9 reaches past a 1- or 7-row band.
+    # Every band height, the single band (h + 1 rows) included, must give the oracle's bytes.
+    gen = np.random.default_rng(k)
+    h, w = 23, 17
+    img = gen.random((h, w)) * 255.0
+    if integer_valued:
+        img = np.floor(img / 32.0)  # eight levels, so windows hold rank ties
+    labels = gen.integers(0, 2, size=(h, w), dtype=np.int64)
+    want = {mode: naive_adaptive_filter(img, labels, k, statistic, mode=mode) for mode in ADAPTIVE_MODES}
+    want["box"] = naive_adaptive_filter(img, np.zeros_like(labels), k, statistic)
+    for rows in (h + 1, 1, 7):
+        monkeypatch.setattr(filters, "_band_rows", lambda statistic, k, w, rows=rows: rows)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(filters, "_worker_count", lambda workers=workers: workers)
+            got = _all_filters(img, labels, k, statistic)
+            for key, value in got.items():
+                assert value.tobytes() == want[key].tobytes(), (key, rows, workers)
+
+
+def test_band_rows_floor_at_one_row_when_a_row_outgrows_the_band(monkeypatch):
+    monkeypatch.setattr(filters, "_MEDIAN_BAND_SAMPLES", 8)
+    monkeypatch.setattr(filters, "_MEAN_BAND_PIXELS", 8)
+    assert filters._band_rows("median", 3, 17) == filters._band_rows("mean", 3, 17) == 1
+    gen = np.random.default_rng(5)
+    img = gen.random((11, 17)) * 255.0
+    labels = gen.integers(0, 2, size=(11, 17), dtype=np.int64)
+    for statistic in STATISTICS:
+        got = _all_filters(img, labels, 3, statistic)
+        assert got["box"].tobytes() == naive_adaptive_filter(img, np.zeros_like(labels), 3, statistic).tobytes()
+        for mode in ADAPTIVE_MODES:
+            assert got[mode].tobytes() == naive_adaptive_filter(img, labels, 3, statistic, mode=mode).tobytes()
+
+
+def test_one_and_two_workers_agree_on_a_fixture_at_default_band_sizes(monkeypatch):
+    img = np.clip(disks() + np.random.default_rng(7).normal(0.0, 20.0, (240, 240)), 0.0, 255.0)
+    labels = (disks() > 128).astype(np.int64)
+    for k in (1, 3, 5, 7, 9):
+        for statistic in STATISTICS:
+            results = []
+            for workers in (1, 2):
+                monkeypatch.setattr(filters, "_worker_count", lambda workers=workers: workers)
+                results.append({key: v.tobytes() for key, v in _all_filters(img, labels, k, statistic).items()})
+            assert results[0] == results[1], (k, statistic)
+
+
+def test_threaded_bands_under_frequent_thread_switches(monkeypatch):
+    # More workers than cores, one-row bands and a short switch interval: a
+    # band written twice, skipped or written by the wrong thread shows here.
+    gen = np.random.default_rng(11)
+    img = gen.random((64, 40)) * 255.0
+    labels = gen.integers(0, 2, size=(64, 40), dtype=np.int64)
+    want = {key: v.tobytes() for key, v in _all_filters(img, labels, 5, "median").items()}
+    monkeypatch.setattr(filters, "_band_rows", lambda statistic, k, w: 1)
+    monkeypatch.setattr(filters, "_worker_count", lambda: 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            assert {key: v.tobytes() for key, v in _all_filters(img, labels, 5, "median").items()} == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_median_memory_is_bounded_by_the_band(monkeypatch, workers):
+    # The whole-image k = 7 window stack is 49 * 240 * 240 * 8 bytes (~22.6 MB);
+    # the banded median holds one band stack per worker.
+    monkeypatch.setattr(filters, "_worker_count", lambda: workers)
+    gen = np.random.default_rng(3)
+    img = gen.random((240, 240)) * 255.0
+    labels = gen.integers(0, 2, size=(240, 240), dtype=np.int64)
+    bound = 49 * 240 * 240 * 8 / 4
+    for mode in (None, *ADAPTIVE_MODES):
+        tracemalloc.start()
+        try:
+            if mode is None:
+                box_filter(img, 7, statistic="median")
+            else:
+                adaptive_filter(img, labels, 7, statistic="median", mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (mode, peak)

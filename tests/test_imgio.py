@@ -84,11 +84,22 @@ def test_binary_pgm_comments_and_whitespace(tmp_path):
 def test_small_maxval_accepted_large_rejected(tmp_path):
     ok = tmp_path / "g.pgm"
     ok.write_text("P2\n2 1\n15\n0 15\n")
-    assert np.array_equal(read_pgm(ok), [[0.0, 15.0]])
+    assert np.array_equal(read_pgm(ok), [[0.0, 255.0]])
     bad = tmp_path / "h.pgm"
     bad.write_text("P2\n2 1\n65535\n0 15\n")
     with pytest.raises(ImageFormatError, match="unsupported maxval"):
         read_pgm(bad)
+
+
+@pytest.mark.parametrize("maxval", [1, 7, 15, 100, 254])
+def test_small_maxval_rescaled_onto_0_255(tmp_path, maxval):
+    samples = list(range(maxval + 1))
+    path = tmp_path / "s.pgm"
+    path.write_text(f"P2\n{maxval + 1} 1\n{maxval}\n" + " ".join(map(str, samples)) + "\n")
+    img = read_pgm(path)
+    assert img[0, 0] == 0.0 and img[0, -1] == 255.0
+    assert np.array_equal(img, [[s * 255.0 / maxval for s in samples]])
+    assert np.all(np.diff(img) > 0)
 
 
 def test_sample_above_maxval_rejected(tmp_path):
@@ -179,6 +190,21 @@ def test_raw_round_trip_is_lossless(tmp_path, rng):
     back = read_raw(path)
     assert back.dtype == np.float64
     assert np.array_equal(back, img)
+
+
+def test_text_writers_match_per_sample_repr_and_str(tmp_path, rng):
+    img = rng.random((3, 6)) * 255.0
+    img[0, :5] = [-0.0, 5e-324, 1e16, 1.0000000000000002, 255.0]
+    write_raw(img, tmp_path / "a.rawimg")
+    rows = [" ".join(repr(float(v)) for v in row) for row in img]
+    assert (tmp_path / "a.rawimg").read_text() == "rawgray 6 3\n" + "\n".join(rows) + "\n"
+    assert "-0.0 5e-324 1e+16 1.0000000000000002 255.0 " in rows[0] + " "
+    assert np.array_equal(np.signbit(read_raw(tmp_path / "a.rawimg")), np.signbit(img))
+    labels = rng.integers(0, 2, size=(4, 5))
+    for given in (labels, labels.astype(np.uint8), labels.astype(bool)):
+        write_labelmap(given, tmp_path / "a.labels")
+        rows = [" ".join(str(int(v)) for v in row) for row in labels]
+        assert (tmp_path / "a.labels").read_text() == "labels 5 4\n" + "\n".join(rows) + "\n"
 
 
 def test_raw_bad_header_rejected(tmp_path):
