@@ -1,7 +1,7 @@
 """Variable-pixel imaging: two-region 6x6 mask scans, sensor-noise
 simulation, shape-adaptive filtering and PSNR benchmarking."""
 
-from .masks import Mask, MaskSet, builtin_masks, load_masks, rotate90, save_masks
+from .masks import Mask, builtin_masks, load_masks, rotate90, save_masks
 from .imgio import read_image, read_labelmap, read_pgm, read_raw, write_labelmap, write_pgm, write_raw
 from .scan import (
     BLOCK,
@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Mask",
-    "MaskSet",
     "builtin_masks",
     "load_masks",
     "rotate90",

@@ -20,14 +20,16 @@ import click
 from .filters import (
     ADAPTIVE_MODES,
     DEFAULT_ADAPTIVE_MODE,
+    DEFAULT_FILTER_MODE,
     DEFAULT_KERNEL,
+    DEFAULT_STATISTIC,
     FILTER_MODES,
     STATISTICS,
     adaptive_filter,
     box_filter,
     check_kernel,
 )
-from .imgio import ImageFormatError, read_image, read_labelmap, write_labelmap, write_pgm, write_raw
+from .imgio import ImageFormatError, read_image, read_labelmap, write_labelmap
 from .masks import MaskError, builtin_masks, format_masks, save_masks
 from .metrics import psnr
 from .noise import (
@@ -39,7 +41,7 @@ from .noise import (
     NoiseSpec,
     apply_noise,
 )
-from .pipeline import PipelineConfig, format_db, load_mask_source, run_pipeline, scan_variants
+from .pipeline import PipelineConfig, format_db, load_mask_source, run_pipeline, scan_variants, write_image
 from .scan import CRITERIA, DEFAULT_CRITERION, pad_to_block_multiple, scan_square
 
 
@@ -70,13 +72,6 @@ def _odd_kernel(ctx, param, value):
     return value
 
 
-def _write_image(img, path, raw: bool) -> None:
-    if raw:
-        write_raw(img, path)
-    else:
-        write_pgm(img, path)
-
-
 @click.group()
 def main():
     """Variable-pixel image scanning, noising, filtering and PSNR tables."""
@@ -105,17 +100,16 @@ def masks_cmd(out):
 @cli_errors
 def scan_cmd(input, out, labels, layout, mask_path, criterion, raw):
     """Form the square or variable-pixel representation of an image."""
+    if labels is not None and layout == "square":
+        raise click.UsageError("--labels requires --layout variable")
     img = read_image(input)
     if layout == "square":
         h, w = img.shape
         scanned = scan_square(pad_to_block_multiple(img)).image[:h, :w]
-        lab = None
     else:
         _, scanned, lab = scan_variants(img, load_mask_source(mask_path), criterion)
-    _write_image(scanned, out, raw)
+    write_image(scanned, out, raw)
     if labels is not None:
-        if lab is None:
-            raise click.UsageError("--labels requires --layout variable")
         write_labelmap(lab, labels)
 
 
@@ -133,15 +127,15 @@ def noise_cmd(input, out, kind, density, sigma, variance, seed, raw):
     """Inject a seeded noise model into an image."""
     img = read_image(input)
     spec = NoiseSpec(kind, density=density, sigma=sigma, variance=variance, seed=seed)
-    _write_image(apply_noise(img, spec), out, raw)
+    write_image(apply_noise(img, spec), out, raw)
 
 
 @main.command("filter")
 @click.argument("input", type=click.Path(path_type=Path))
 @click.option("--out", required=True, type=click.Path(path_type=Path))
 @click.option("--kernel", type=int, default=DEFAULT_KERNEL, show_default=True, callback=_odd_kernel)
-@click.option("--statistic", type=click.Choice(STATISTICS), default="mean", show_default=True)
-@click.option("--mode", type=click.Choice(FILTER_MODES), default="square", show_default=True)
+@click.option("--statistic", type=click.Choice(STATISTICS), default=DEFAULT_STATISTIC, show_default=True)
+@click.option("--mode", type=click.Choice(FILTER_MODES), default=DEFAULT_FILTER_MODE, show_default=True)
 @click.option("--labels", type=click.Path(path_type=Path), default=None, help="Label map (adaptive modes).")
 @click.option("--raw", is_flag=True)
 @cli_errors
@@ -155,7 +149,7 @@ def filter_cmd(input, out, kernel, statistic, mode, labels, raw):
             raise click.UsageError(f"--mode {mode} requires --labels")
         lab = read_labelmap(labels)
         filtered = adaptive_filter(img, lab, kernel, statistic, mode.removeprefix("adaptive-"))
-    _write_image(filtered, out, raw)
+    write_image(filtered, out, raw)
 
 
 @main.command("psnr")
@@ -171,48 +165,24 @@ def psnr_cmd(reference, test):
 @main.command("run")
 @click.argument("inputs", nargs=-1, required=True, type=click.Path(path_type=Path))
 @click.option("--out-dir", required=True, type=click.Path(path_type=Path))
-@click.option(
-    "--noise",
-    "noise_kinds",
-    multiple=True,
-    type=click.Choice(NOISE_KINDS),
-    help="Noise kinds to run (default: all three).",
-)
+@click.option("--noise", "noise_kinds", multiple=True, type=click.Choice(NOISE_KINDS), default=NOISE_KINDS, show_default=True)
 @click.option("--density", type=float, default=DEFAULT_DENSITY, show_default=True)
 @click.option("--sigma", type=float, default=DEFAULT_SIGMA, show_default=True)
 @click.option("--variance", type=float, default=DEFAULT_VARIANCE, show_default=True)
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.option("--kernel", "kernels", multiple=True, type=int, callback=_odd_kernel, help=f"Kernel sizes (default: {DEFAULT_KERNEL}).")
-@click.option(
-    "--statistic",
-    "statistics",
-    multiple=True,
-    type=click.Choice(STATISTICS),
-    help="Statistics to run (default: both).",
-)
+@click.option("--kernel", "kernels", multiple=True, type=int, default=(DEFAULT_KERNEL,), show_default=True, callback=_odd_kernel)
+@click.option("--statistic", "statistics", multiple=True, type=click.Choice(STATISTICS), default=STATISTICS, show_default=True)
 @click.option("--masks", "mask_path", type=click.Path(path_type=Path), default=None)
 @click.option("--criterion", type=click.Choice(CRITERIA), default=DEFAULT_CRITERION, show_default=True)
 @click.option("--adaptive-mode", type=click.Choice(ADAPTIVE_MODES), default=DEFAULT_ADAPTIVE_MODE, show_default=True)
 @click.option("--dump-intermediates", is_flag=True, help="Write scanned/noisy/filtered images and label maps.")
 @click.option("--raw-intermediates", is_flag=True, help="Dump intermediates as lossless raw dumps.")
 @cli_errors
-def run_cmd(
-    inputs,
-    out_dir,
-    noise_kinds,
-    density,
-    sigma,
-    variance,
-    seed,
-    kernels,
-    statistics,
-    mask_path,
-    criterion,
-    adaptive_mode,
-    dump_intermediates,
-    raw_intermediates,
-):
+def run_cmd(inputs, **options):
     """Run the full benchmark and write psnr.csv into the output directory."""
+    # every option is the PipelineConfig field of the same name
+    if options["raw_intermediates"] and not options["dump_intermediates"]:
+        raise click.UsageError("--raw-intermediates requires --dump-intermediates")
     expanded = []
     for p in inputs:
         if p.is_dir():
@@ -221,24 +191,8 @@ def run_cmd(
             expanded.append(p)
     if not expanded:
         raise click.UsageError("no input images found")
-    cfg = PipelineConfig(
-        inputs=tuple(expanded),
-        mask_path=mask_path,
-        criterion=criterion,
-        noise_kinds=noise_kinds or NOISE_KINDS,
-        density=density,
-        sigma=sigma,
-        variance=variance,
-        seed=seed,
-        kernels=kernels or (DEFAULT_KERNEL,),
-        statistics=statistics or STATISTICS,
-        adaptive_mode=adaptive_mode,
-        out_dir=out_dir,
-        dump_intermediates=dump_intermediates,
-        raw_intermediates=raw_intermediates,
-    )
-    rows = run_pipeline(cfg)
-    click.echo(f"wrote {len(rows)} rows to {Path(out_dir) / 'psnr.csv'}")
+    rows = run_pipeline(PipelineConfig(inputs=tuple(expanded), **options))
+    click.echo(f"wrote {len(rows)} rows to {options['out_dir'] / 'psnr.csv'}")
 
 
 if __name__ == "__main__":

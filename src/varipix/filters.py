@@ -40,7 +40,9 @@ from .imgio import as_image
 from .scan import block_labels
 
 STATISTICS = ("mean", "median")
+DEFAULT_STATISTIC = "mean"
 FILTER_MODES = ("square", "adaptive-literal", "adaptive-block")
+DEFAULT_FILTER_MODE = "square"
 ADAPTIVE_MODES = ("literal", "block")
 DEFAULT_ADAPTIVE_MODE = "literal"
 DEFAULT_KERNEL = 5
@@ -181,7 +183,7 @@ def _window_filter(img: np.ndarray, labels: np.ndarray | None, k: int, statistic
     return out
 
 
-def box_filter(img: np.ndarray, k: int, statistic: str = "mean") -> np.ndarray:
+def box_filter(img: np.ndarray, k: int, statistic: str = DEFAULT_STATISTIC) -> np.ndarray:
     """Plain k x k mean or median over the edge-replicated image."""
     return _window_filter(_checked(img, k, statistic), None, k, statistic)
 
@@ -190,7 +192,7 @@ def adaptive_filter(
     img: np.ndarray,
     labels: np.ndarray,
     k: int,
-    statistic: str = "mean",
+    statistic: str = DEFAULT_STATISTIC,
     mode: str = DEFAULT_ADAPTIVE_MODE,
 ) -> np.ndarray:
     """Filter each pixel over the same-label candidates in its k x k window.

@@ -92,10 +92,7 @@ def read_pgm(path) -> GrayImage:
         tokens = buf[data_pos:].split()
         if len(tokens) < n:
             raise ImageFormatError(f"truncated PGM data: expected {n} samples, got {len(tokens)}")
-        try:
-            samples = np.array([int(t) for t in tokens[:n]], dtype=np.int64)
-        except ValueError:
-            raise ImageFormatError("malformed PGM data: non-integer sample") from None
+        samples = _parse(tokens[:n], np.int64, "malformed PGM data: non-integer sample")
     if samples.max(initial=0) > maxval or samples.min(initial=0) < 0:
         raise ImageFormatError(f"malformed PGM data: sample outside [0, {maxval}]")
     img = samples.reshape(height, width).astype(np.float64)
@@ -118,71 +115,61 @@ def write_pgm(img: GrayImage, path) -> None:
         fh.write(quantize(img).tobytes())
 
 
-def write_labelmap(labels: LabelMap, path) -> None:
-    labels = np.asarray(labels).astype(np.int64, copy=False)
-    h, w = labels.shape
+def _write_grid(grid: np.ndarray, path, magic: str, fmt) -> None:
+    """Write `<magic> <width> <height>` then one line of fmt'd values per row."""
+    h, w = grid.shape
     with open(path, "w") as fh:
-        fh.write(f"labels {w} {h}\n")
-        for row in labels:
-            fh.write(" ".join(map(str, row.tolist())))
+        fh.write(f"{magic} {w} {h}\n")
+        for row in grid:  # one row of Python scalars at a time, not the whole image
+            fh.write(" ".join(map(fmt, row.tolist())))
             fh.write("\n")
 
 
-def read_labelmap(path) -> LabelMap:
+def _parse(tokens, dtype, message: str) -> np.ndarray:
+    """Tokens as a dtype array, rejected as `message` where int()/float() would be."""
+    try:
+        return np.array(tokens, dtype=dtype)
+    except (ValueError, OverflowError):
+        raise ImageFormatError(message) from None
+
+
+def _read_grid(path, magic: str, what: str, noun: str, dtype, message: str) -> np.ndarray:
+    """Inverse of _write_grid: the header, then exactly width*height values."""
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 3 or header[0] != "labels":
-            raise ImageFormatError("malformed label map header")
+        if len(header) != 3 or header[0] != magic:
+            raise ImageFormatError(f"malformed {what} header")
         try:
             w, h = int(header[1]), int(header[2])
         except ValueError:
-            raise ImageFormatError("malformed label map header: non-integer size") from None
+            raise ImageFormatError(f"malformed {what} header: non-integer size") from None
         tokens = fh.read().split()
     if len(tokens) != w * h:
-        raise ImageFormatError(
-            f"label map says {w}x{h} ({w * h} labels) but {len(tokens)} labels present"
-        )
-    try:
-        labels = np.array([int(t) for t in tokens], dtype=np.int64)
-    except ValueError:
-        raise ImageFormatError("malformed label map: non-integer label") from None
+        raise ImageFormatError(f"{what} says {w}x{h} ({w * h} {noun}) but {len(tokens)} {noun} present")
+    return _parse(tokens, dtype, f"malformed {what}: {message}").reshape(h, w)
+
+
+def write_labelmap(labels: LabelMap, path) -> None:
+    _write_grid(np.asarray(labels).astype(np.int64, copy=False), path, "labels", str)
+
+
+def read_labelmap(path) -> LabelMap:
+    labels = _read_grid(path, "labels", "label map", "labels", np.int64, "non-integer label")
     if np.any((labels != 0) & (labels != 1)):
         raise ImageFormatError("malformed label map: labels must be region bits 0 or 1")
-    return labels.reshape(h, w)
+    return labels
 
 
 def write_raw(img: GrayImage, path) -> None:
     """Write the lossless real-valued dump format (exact float64 round trip)."""
-    img = as_image(img)
-    h, w = img.shape
-    with open(path, "w") as fh:
-        fh.write(f"rawgray {w} {h}\n")
-        for row in img:  # one row of Python floats at a time, not the whole image
-            fh.write(" ".join(map(repr, row.tolist())))
-            fh.write("\n")
+    _write_grid(as_image(img), path, "rawgray", repr)
 
 
 def read_raw(path) -> GrayImage:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "rawgray":
-            raise ImageFormatError("malformed raw dump header")
-        try:
-            w, h = int(header[1]), int(header[2])
-        except ValueError:
-            raise ImageFormatError("malformed raw dump header: non-integer size") from None
-        tokens = fh.read().split()
-    if len(tokens) != w * h:
-        raise ImageFormatError(
-            f"raw dump says {w}x{h} ({w * h} samples) but {len(tokens)} samples present"
-        )
-    try:
-        samples = np.array([float(t) for t in tokens], dtype=np.float64)
-    except ValueError:
-        raise ImageFormatError("malformed raw dump: non-numeric sample") from None
+    samples = _read_grid(path, "rawgray", "raw dump", "samples", np.float64, "non-numeric sample")
     if not np.isfinite(samples).all():
         raise ImageFormatError("malformed raw dump: non-finite sample (nan or inf)")
-    return samples.reshape(h, w)
+    return samples
 
 
 def read_image(path) -> GrayImage:

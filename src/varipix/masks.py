@@ -58,24 +58,7 @@ class Mask:
         return n0, self.cells.size - n0
 
 
-@dataclass(eq=False)
-class MaskSet:
-    masks: list[Mask]
-    provenance: str  # "builtin" | "file"
-
-    def __len__(self):
-        return len(self.masks)
-
-    def __iter__(self):
-        return iter(self.masks)
-
-    def __getitem__(self, i) -> Mask:
-        return self.masks[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, MaskSet):
-            return NotImplemented
-        return self.masks == other.masks
+MaskSet = tuple[Mask, ...]  # a mask set is a plain tuple of masks
 
 
 def validate_mask(m: Mask) -> None:
@@ -150,11 +133,11 @@ def builtin_masks() -> MaskSet:
         for _ in range(3):
             m = rotate90(m)
             masks.append(m)
-    return MaskSet(masks, "builtin")
+    return tuple(masks)
 
 
 def format_masks(maskset: MaskSet) -> str:
-    """Render a MaskSet in the mask text format (see load_masks)."""
+    """Render masks in the mask text format (see load_masks)."""
     chunks = []
     for m in maskset:
         rows = "\n".join("".join(str(int(b)) for b in row) for row in m.cells)
@@ -163,13 +146,13 @@ def format_masks(maskset: MaskSet) -> str:
 
 
 def save_masks(maskset: MaskSet, path) -> None:
-    """Write a MaskSet in the mask text format; load_masks inverts it."""
+    """Write masks in the mask text format; load_masks inverts it."""
     with open(path, "w") as fh:
         fh.write(format_masks(maskset))
 
 
 def load_masks(path) -> MaskSet:
-    """Parse the mask text format into a validated MaskSet.
+    """Parse the mask text format into a tuple of validated masks.
 
     Format: one `mask <id> <shape_kind> <orientation>` header line followed
     by 6 lines of 6 characters from {0,1}; blank line between masks; lines
@@ -220,4 +203,4 @@ def load_masks(path) -> MaskSet:
 
     if not masks:
         raise MaskFormatError("no masks found in file")
-    return MaskSet(masks, "file")
+    return tuple(masks)

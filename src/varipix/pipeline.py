@@ -10,7 +10,8 @@ rows for three variants, each with the requested kernels and statistics:
 PSNR is always measured against the original clean image over the original
 pixel area (inputs are padded to a block multiple for scanning and the
 scans cropped back). Rows come out sorted by image, noise, pipeline
-(square, variable, adaptive), statistic, kernel.
+(square, variable, adaptive), statistic, kernel. Flagged intermediates
+are dumped through `write_image`, the writer the stage commands use too.
 """
 
 from __future__ import annotations
@@ -100,34 +101,26 @@ def scan_variants(img, maskset: MaskSet, criterion: str = DEFAULT_CRITERION):
     return square, fused.image[:h, :w], fused.labels[:h, :w]
 
 
-class _Dumper:
-    """Writes flagged pipeline intermediates into the output directory."""
-
-    def __init__(self, cfg: PipelineConfig):
-        self.enabled = cfg.dump_intermediates and cfg.out_dir is not None
-        self.raw = cfg.raw_intermediates
-        self.out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
-
-    def image(self, stem: str, img) -> None:
-        if not self.enabled:
-            return
-        if self.raw:
-            write_raw(img, self.out_dir / f"{stem}.rawimg")
-        else:
-            write_pgm(img, self.out_dir / f"{stem}.pgm")
-
-    def labels(self, stem: str, labels) -> None:
-        if self.enabled:
-            write_labelmap(labels, self.out_dir / f"{stem}.txt")
+def write_image(img, path, raw: bool) -> None:
+    """Write img as a lossless raw dump, or as an 8-bit PGM."""
+    # looked up here, not in imgio, so that bench/tracing.py sees every write
+    (write_raw if raw else write_pgm)(img, path)
 
 
-def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet, dumper=None) -> list[PsnrRow]:
+def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet) -> list[PsnrRow]:
     """All PSNR rows for one clean image under one configuration."""
-    dumper = dumper or _Dumper(cfg)
+    dump_dir = Path(cfg.out_dir) if cfg.dump_intermediates and cfg.out_dir is not None else None
+    suffix = ".rawimg" if cfg.raw_intermediates else ".pgm"
+
+    def dump(stem: str, image) -> None:
+        if dump_dir is not None:
+            write_image(image, dump_dir / f"{name}_{stem}{suffix}", cfg.raw_intermediates)
+
     square, variable, labels = scan_variants(img, maskset, cfg.criterion)
-    dumper.image(f"{name}_square", square)
-    dumper.image(f"{name}_variable", variable)
-    dumper.labels(f"{name}_labels", labels)
+    dump("square", square)
+    dump("variable", variable)
+    if dump_dir is not None:
+        write_labelmap(labels, dump_dir / f"{name}_labels.txt")
 
     rows = []
     for kind in cfg.noise_kinds:
@@ -138,8 +131,8 @@ def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet, dumper
             "square": apply_noise(square, spec),
             "variable": apply_noise(variable, spec),
         }
-        dumper.image(f"{name}_{kind}_square_noisy", noisy["square"])
-        dumper.image(f"{name}_{kind}_variable_noisy", noisy["variable"])
+        dump(f"{kind}_square_noisy", noisy["square"])
+        dump(f"{kind}_variable_noisy", noisy["variable"])
         for k in cfg.kernels:
             for stat in cfg.statistics:
                 filtered = {
@@ -148,7 +141,7 @@ def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet, dumper
                     "adaptive": adaptive_filter(noisy["variable"], labels, k, stat, cfg.adaptive_mode),
                 }
                 for pipe in PIPELINES:
-                    dumper.image(f"{name}_{kind}_{pipe}_{stat}_k{k}", filtered[pipe])
+                    dump(f"{kind}_{pipe}_{stat}_k{k}", filtered[pipe])
                     rows.append(PsnrRow(name, kind, pipe, stat, k, psnr(img, filtered[pipe]).psnr_db))
     return rows
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import inspect
 from pathlib import Path
@@ -26,7 +27,13 @@ from varipix import (
     write_pgm,
 )
 from varipix.cli import main
-from varipix.filters import DEFAULT_ADAPTIVE_MODE, DEFAULT_KERNEL
+from varipix.filters import (
+    DEFAULT_ADAPTIVE_MODE,
+    DEFAULT_FILTER_MODE,
+    DEFAULT_KERNEL,
+    DEFAULT_STATISTIC,
+    STATISTICS,
+)
 from varipix.noise import NOISE_KINDS
 from varipix.pipeline import CSV_HEADER
 from varipix.scan import DEFAULT_CRITERION
@@ -204,11 +211,18 @@ def test_exit_code_2_for_inconsistent_flags(runner, tmp_path):
         "--layout", "square", "--labels", tmp_path / "l.txt",
     )
     assert result.exit_code == 2
+    assert not (tmp_path / "s.pgm").exists()
+    assert not (tmp_path / "l.txt").exists()
     result = invoke(
         runner, "filter", img, "--out", tmp_path / "f.pgm", "--mode", "adaptive-literal"
     )
     assert result.exit_code == 2
     assert "--labels" in result.output
+    # --raw-intermediates alone would dump nothing
+    result = invoke(runner, "run", img, "--out-dir", tmp_path / "out", "--raw-intermediates")
+    assert result.exit_code == 2
+    assert "--dump-intermediates" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_3_for_missing_input(runner, tmp_path):
@@ -295,6 +309,9 @@ def test_noise_and_run_defaults_match_library_defaults(runner, tmp_path):
 def test_retyped_defaults_read_one_constant(monkeypatch, tmp_path):
     option = {(name, p.name): p.default for name, cmd in main.commands.items() for p in cmd.params}
     assert option["filter", "kernel"] == DEFAULT_KERNEL
+    assert (option["filter", "statistic"], option["filter", "mode"]) == (DEFAULT_STATISTIC, DEFAULT_FILTER_MODE)
+    assert option["run", "kernels"] == (DEFAULT_KERNEL,)
+    assert (option["run", "noise_kinds"], option["run", "statistics"]) == (NOISE_KINDS, STATISTICS)
     assert PipelineConfig.kernels == (DEFAULT_KERNEL,)
     assert option["scan", "criterion"] == option["run", "criterion"] == DEFAULT_CRITERION
     assert option["run", "adaptive_mode"] == DEFAULT_ADAPTIVE_MODE
@@ -302,6 +319,8 @@ def test_retyped_defaults_read_one_constant(monkeypatch, tmp_path):
     for fn in (scan_variants, scan_parallel_fused, select_mask):
         assert inspect.signature(fn).parameters["criterion"].default == DEFAULT_CRITERION
     assert inspect.signature(adaptive_filter).parameters["mode"].default == DEFAULT_ADAPTIVE_MODE
+    for fn in (box_filter, adaptive_filter):
+        assert inspect.signature(fn).parameters["statistic"].default == DEFAULT_STATISTIC
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"
     spec = importlib.util.spec_from_file_location("run_experiment", path)
     script = importlib.util.module_from_spec(spec)
@@ -309,6 +328,19 @@ def test_retyped_defaults_read_one_constant(monkeypatch, tmp_path):
     monkeypatch.setattr("sys.argv", ["run_experiment.py", "--out-dir", str(tmp_path)])
     args = script.parse_args()
     assert (args.criterion, args.adaptive_mode) == (DEFAULT_CRITERION, DEFAULT_ADAPTIVE_MODE)
+
+
+def test_run_options_are_the_pipeline_config_fields():
+    # `run` hands its options to PipelineConfig by name, so the two lists
+    # and their defaults must agree
+    params = {p.name: p for p in main.commands["run"].params if p.name != "inputs"}
+    fields = {f.name: f for f in dataclasses.fields(PipelineConfig) if f.name != "inputs"}
+    assert sorted(params) == sorted(fields)
+    for name, field in fields.items():
+        if name == "out_dir":
+            assert params[name].required
+        else:
+            assert params[name].default == field.default, name
 
 
 def test_pgm_output_is_quantized(runner, tmp_path):

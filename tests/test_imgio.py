@@ -231,6 +231,40 @@ def test_raw_non_finite_sample_rejected(tmp_path, token):
         read_image(path)
 
 
+@pytest.mark.parametrize(
+    "text, reader, message",
+    [
+        ("labels 2 1\n0 x\n", read_labelmap, "non-integer label"),
+        ("labels 2 1\n0 1.0\n", read_labelmap, "non-integer label"),
+        ("labels 2 1\n0 99999999999999999999\n", read_labelmap, "non-integer label"),
+        ("rawgray 2 1\n0.5 0x1p3\n", read_raw, "non-numeric sample"),
+        ("rawgray 2 1\n0.5 1,5\n", read_raw, "non-numeric sample"),
+        ("P2\n2 1\n255\n0 1.5\n", read_pgm, "non-integer sample"),
+        ("P2\n2 1\n255\n0 99999999999999999999\n", read_pgm, "non-integer sample"),
+    ],
+)
+def test_text_readers_reject_bad_tokens(tmp_path, text, reader, message):
+    # an integer too large for int64 is malformed content, not a crash
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ImageFormatError, match=message):
+        reader(path)
+
+
+def test_text_readers_parse_tokens_as_int_and_float_do(tmp_path):
+    # the readers parse all tokens in one numpy call; int() and float() are the reference
+    floats = [".5", "5.", "+1.5", "1E5", "-0", "-0.0", "1_0.5", "4.9e-324", "1e-400", "0.1", "1.7976931348623157e308"]
+    path = tmp_path / "a.rawimg"
+    path.write_text(f"rawgray {len(floats)} 1\n" + " ".join(floats) + "\n")
+    assert read_raw(path).tobytes() == np.array([[float(t) for t in floats]]).tobytes()
+    labels = ["+1", "-0", "01", "0", "0_1"]
+    path.write_text(f"labels {len(labels)} 1\n" + " ".join(labels) + "\n")
+    assert read_labelmap(path).tolist() == [[int(t) for t in labels]]
+    samples = ["+1", "-0", "01", "255", "1_0"]  # P2 tokens are bytes
+    path.write_text(f"P2\n{len(samples)} 1\n255\n" + " ".join(samples) + "\n")
+    assert read_pgm(path).tolist() == [[float(int(t.encode())) for t in samples]]
+
+
 def test_read_image_sniffs_all_formats(tmp_path):
     img = np.array([[3.0, 5.0], [7.0, 9.0]])
     p5 = tmp_path / "x.pgm"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varipix import Mask, MaskSet, builtin_masks, load_masks, rotate90, save_masks
+from varipix import Mask, builtin_masks, load_masks, rotate90, save_masks
 from varipix.masks import (
     MASK_SIZE,
     MaskError,
@@ -26,7 +26,6 @@ def test_builtin_count_and_order(masks):
     ]
     assert [m.shape_kind for m in masks] == ["triangular"] * 4 + ["rectangular"] * 4
     assert [m.orientation for m in masks] == [0, 90, 180, 270] * 2
-    assert masks.provenance == "builtin"
 
 
 def test_builtin_grids_pairwise_distinct(masks):
@@ -148,13 +147,12 @@ def test_save_load_round_trip(masks, tmp_path):
     save_masks(masks, path)
     loaded = load_masks(path)
     assert len(loaded) == len(masks)
-    assert loaded.provenance == "file"
     for a, b in zip(loaded, masks):
         assert a == b
 
 
 def test_format_contains_fifteen_zero_cells_for_tri_base(masks):
-    text = format_masks(MaskSet([masks[0]], "builtin"))
+    text = format_masks((masks[0],))
     lines = text.strip().splitlines()
     assert lines[0] == "mask tri-0 triangular 0"
     assert sum(row.count("0") for row in lines[1:]) == 15
@@ -230,7 +228,7 @@ def test_load_missing_file_raises_oserror(tmp_path):
 def test_maskset_indexing_and_equality(masks):
     assert masks[0].id == "tri-0"
     assert masks == builtin_masks()
-    assert masks != MaskSet(list(masks)[:4], "builtin")
+    assert masks != masks[:4]
 
 
 @st.composite
