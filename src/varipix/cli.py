@@ -105,7 +105,7 @@ def scan_cmd(input, out, labels, layout, mask_path, criterion, raw):
     img = read_image(input)
     if layout == "square":
         h, w = img.shape
-        scanned = scan_square(pad_to_block_multiple(img)).image[:h, :w]
+        scanned = scan_square(pad_to_block_multiple(img))[:h, :w]
     else:
         _, scanned, lab = scan_variants(img, load_mask_source(mask_path), criterion)
     write_image(scanned, out, raw)

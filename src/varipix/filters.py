@@ -36,15 +36,15 @@ import os
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .imgio import as_image
+from .imgio import as_image, as_labels
 from .scan import block_labels
 
 STATISTICS = ("mean", "median")
 DEFAULT_STATISTIC = "mean"
-FILTER_MODES = ("square", "adaptive-literal", "adaptive-block")
-DEFAULT_FILTER_MODE = "square"
 ADAPTIVE_MODES = ("literal", "block")
 DEFAULT_ADAPTIVE_MODE = "literal"
+FILTER_MODES = ("square", *(f"adaptive-{m}" for m in ADAPTIVE_MODES))
+DEFAULT_FILTER_MODE = "square"
 DEFAULT_KERNEL = 5
 
 # Row-band sizes, for a working set of about 1.6 MB per band. A median
@@ -204,7 +204,7 @@ def adaptive_filter(
     img = _checked(img, k, statistic)
     if mode not in ADAPTIVE_MODES:
         raise ValueError(f"unknown adaptive mode {mode!r}")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = as_labels(labels)
     if img.shape != labels.shape:
         raise ValueError(f"image shape {img.shape} != label map shape {labels.shape}")
     if mode == "block":

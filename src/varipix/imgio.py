@@ -34,6 +34,17 @@ def as_image(data) -> GrayImage:
     return arr
 
 
+def as_labels(data, region_bits: bool = False) -> LabelMap:
+    """View data as an int64 LabelMap; rejects non-integer dtypes, and labels other than 0/1 with region_bits."""
+    arr = np.asarray(data)
+    if arr.dtype.kind not in "biu":
+        raise ValueError(f"labels must be integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
+    if region_bits and np.any((arr != 0) & (arr != 1)):
+        raise ValueError("labels must be region bits 0 or 1")
+    return arr
+
+
 def _tokenize_pgm_header(buf: bytes):
     """Yield (token, next_pos) over whitespace/comment-separated header fields."""
     pos = 0
@@ -155,9 +166,10 @@ def write_labelmap(labels: LabelMap, path) -> None:
 
 def read_labelmap(path) -> LabelMap:
     labels = _read_grid(path, "labels", "label map", "labels", np.int64, "non-integer label")
-    if np.any((labels != 0) & (labels != 1)):
-        raise ImageFormatError("malformed label map: labels must be region bits 0 or 1")
-    return labels
+    try:
+        return as_labels(labels, region_bits=True)
+    except ValueError as exc:
+        raise ImageFormatError(f"malformed label map: {exc}") from None
 
 
 def write_raw(img: GrayImage, path) -> None:

@@ -17,6 +17,7 @@ seed give bit-identical outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +45,11 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.density <= 1.0:
             raise ValueError(f"density must be in [0, 1], got {self.density}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if self.variance < 0:
-            raise ValueError(f"variance must be >= 0, got {self.variance}")
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+        # written so that nan fails too
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if not 0.0 <= self.variance < math.inf:
+            raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
 
 
 def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -66,40 +64,22 @@ def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     return z[:n]
 
 
-def add_salt_pepper(img: np.ndarray, density: float, seed: int) -> np.ndarray:
-    """Corrupt each pixel to 0 or 255 (equal odds) with probability density."""
-    if not 0.0 <= density <= 1.0:
-        raise ValueError(f"density must be in [0, 1], got {density}")
-    img = as_image(img)
-    rng = _rng(seed)
-    corrupt = rng.random(img.size) < density
-    flips = rng.random(int(corrupt.sum()))
-    out = img.flatten()
-    out[corrupt] = np.where(flips < 0.5, 0.0, 255.0)
-    return out.reshape(img.shape)
-
-
-def add_gaussian(img: np.ndarray, sigma: float, seed: int) -> np.ndarray:
-    """Add i.i.d. normal(0, sigma^2) and clip to [0, 255]."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    img = as_image(img)
-    z = _standard_normals(_rng(seed), img.size).reshape(img.shape)
-    return np.clip(img + sigma * z, 0.0, 255.0)
-
-
-def add_speckle(img: np.ndarray, variance: float, seed: int) -> np.ndarray:
-    """Multiplicative noise: clip(img + img * n, 0, 255), n ~ normal(0, variance)."""
-    if variance < 0:
-        raise ValueError(f"variance must be >= 0, got {variance}")
-    img = as_image(img)
-    z = _standard_normals(_rng(seed), img.size).reshape(img.shape)
-    return np.clip(img + img * (np.sqrt(variance) * z), 0.0, 255.0)
-
-
 def apply_noise(img: np.ndarray, spec: NoiseSpec) -> np.ndarray:
+    """img under spec's noise model, drawn from spec.seed; the input is not modified.
+
+    salt_pepper corrupts each pixel to 0 or 255 (equal odds) with
+    probability density; gaussian adds i.i.d. normal(0, sigma^2); speckle
+    adds img * n, n ~ normal(0, variance). Both normal models clip to [0, 255].
+    """
+    img = as_image(img)
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
     if spec.kind == "salt_pepper":
-        return add_salt_pepper(img, spec.density, spec.seed)
+        corrupt = rng.random(img.size) < spec.density
+        flips = rng.random(int(corrupt.sum()))
+        out = img.flatten()
+        out[corrupt] = np.where(flips < 0.5, 0.0, 255.0)
+        return out.reshape(img.shape)
+    z = _standard_normals(rng, img.size).reshape(img.shape)
     if spec.kind == "gaussian":
-        return add_gaussian(img, spec.sigma, spec.seed)
-    return add_speckle(img, spec.variance, spec.seed)
+        return np.clip(img + spec.sigma * z, 0.0, 255.0)
+    return np.clip(img + img * (np.sqrt(spec.variance) * z), 0.0, 255.0)

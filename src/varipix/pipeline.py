@@ -96,7 +96,7 @@ def scan_variants(img, maskset: MaskSet, criterion: str = DEFAULT_CRITERION):
     """
     h, w = img.shape
     padded = pad_to_block_multiple(img)
-    square = scan_square(padded).image[:h, :w]
+    square = scan_square(padded)[:h, :w]
     fused = scan_parallel_fused(padded, maskset, criterion)
     return square, fused.image[:h, :w], fused.labels[:h, :w]
 

@@ -7,19 +7,19 @@ The fused scan picks the best mask per block from a mask set and also
 emits the per-pixel region-label map that drives adaptive filtering.
 
 Every scan is one kernel over the image as a C-contiguous (blocks, 36)
-tensor; the one-block functions run it on a single block. Ordering contract:
+tensor; a 6x6 image is one block of the same kernel. Ordering contract:
 region means reduce C-contiguous gathers (`np.take`; fancy indexing gives
 F-order, which numpy sums in another order, flipping last-ulp ties).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .imgio import as_image
-from .masks import MASK_SIZE, Mask, MaskSet
+from .imgio import as_image, as_labels
+from .masks import MASK_SIZE, MaskSet
 
 BLOCK = MASK_SIZE
 
@@ -30,9 +30,8 @@ DEFAULT_CRITERION = "recon-error"
 @dataclass
 class ScanResult:
     image: np.ndarray  # piecewise-constant within each block region
-    labels: np.ndarray  # int64 region bits, aligned with image (all 0 for square)
-    chosen_masks: np.ndarray | None  # (blocks_y, blocks_x) indices, fused scans only
-    block_grid: tuple[int, int]  # (blocks_x, blocks_y)
+    labels: np.ndarray  # int64 region bits, aligned with image
+    chosen_masks: np.ndarray  # (blocks_y, blocks_x) winning mask indices
 
 
 def pad_to_block_multiple(img: np.ndarray) -> np.ndarray:
@@ -61,12 +60,6 @@ def _from_blocks(tensor: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
     return tensor.reshape(by, bx, BLOCK, BLOCK).swapaxes(1, 2).reshape(by * BLOCK, bx * BLOCK)
 
 
-def _one_block(block) -> np.ndarray:
-    if np.shape(block) != (BLOCK, BLOCK):
-        raise ValueError(f"block must be {BLOCK}x{BLOCK}, got shape {np.shape(block)}")
-    return _to_blocks(block)[0]
-
-
 def _fill(bits: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
     """Piecewise-constant blocks: region 0 cells get m0, region 1 cells m1."""
     return np.where(bits == 0, m0[:, None], m1[:, None])
@@ -82,8 +75,10 @@ def _recon_error(tensor, bits, m0, m1) -> np.ndarray:
 def _select(tensor: np.ndarray, maskset, criterion: str):
     """The scan kernel: score every mask on every block, keep the best.
 
-    Returns per block the winning mask index (lowest on ties), its region
-    bits, the block rebuilt from its two region means, and its score.
+    `recon-error` minimizes the squared deviation of the block rebuilt from
+    its two region means; `mean-diff` minimizes the absolute difference of
+    the two means. Returns per block the winning mask index (lowest on
+    ties), its region bits, and the rebuilt block.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown selection criterion {criterion!r}")
@@ -104,55 +99,28 @@ def _select(tensor: np.ndarray, maskset, criterion: str):
     win = scores.argmin(axis=1)
     rows = np.arange(n)
     bits = cells[win]
-    return win, bits, _fill(bits, means[0, rows, win], means[1, rows, win]), scores[rows, win]
+    return win, bits, _fill(bits, means[0, rows, win], means[1, rows, win])
 
 
-def apply_mask_to_block(block: np.ndarray, m: Mask):
-    """Replace each mask region with its mean.
-
-    Returns (output block, recon_error) where recon_error is the sum of
-    squared deviations of the output from the input over the 36 cells.
-    """
-    _, _, out, err = _select(_one_block(block), [m], "recon-error")
-    return out.reshape(BLOCK, BLOCK), float(err[0])
-
-
-def select_mask(block: np.ndarray, maskset: MaskSet, criterion: str = DEFAULT_CRITERION):
-    """Pick the best mask for one block; ties go to the lowest index.
-
-    `recon-error` minimizes the squared deviation of apply_mask_to_block;
-    `mean-diff` minimizes the absolute difference of the two region means.
-    """
-    win, _, _, score = _select(_one_block(block), maskset, criterion)
-    return int(win[0]), float(score[0])
-
-
-def scan_square(img: np.ndarray) -> ScanResult:
+def scan_square(img: np.ndarray) -> np.ndarray:
     """Replace every 6x6 block with its arithmetic mean (square baseline)."""
     tensor, (bx, by) = _to_blocks(img)
     image = np.empty((by * BLOCK, bx * BLOCK))
     image.reshape(by, BLOCK, bx, BLOCK)[...] = tensor.mean(-1).reshape(by, 1, bx, 1)
-    return ScanResult(image, np.zeros(image.shape, dtype=np.int64), None, (bx, by))
+    return image
 
 
-def scan_uniform(img: np.ndarray, m: Mask) -> ScanResult:
-    """Scan the whole image with a single mask (one arm of the parallel array)."""
-    return replace(scan_parallel_fused(img, [m]), chosen_masks=None)
+def scan_parallel_fused(img: np.ndarray, maskset: MaskSet, criterion: str = DEFAULT_CRITERION) -> ScanResult:
+    """Scan every block with every mask and keep, per block, the best one.
 
-
-def scan_parallel_fused(
-    img: np.ndarray, maskset: MaskSet, criterion: str = DEFAULT_CRITERION
-) -> ScanResult:
-    """Run all uniform scans and keep, per block, the selected mask's block.
-
-    Equivalent to scanning each block with select_mask + apply_mask_to_block
-    directly; the fused image carries the winning region bits as its labels
-    and the winning indices in chosen_masks.
+    The image holds each block rebuilt from the winning mask's two region
+    means, labels the winning region bits, and chosen_masks the winning
+    indices. A one-mask set scans the whole image with that mask.
     """
     tensor, (bx, by) = _to_blocks(img)
-    win, bits, blocks, _ = _select(tensor, maskset, criterion)
+    win, bits, blocks = _select(tensor, maskset, criterion)
     labels = _from_blocks(bits, (bx, by)).astype(np.int64)
-    return ScanResult(_from_blocks(blocks, (bx, by)), labels, win.reshape(by, bx), (bx, by))
+    return ScanResult(_from_blocks(blocks, (bx, by)), labels, win.reshape(by, bx))
 
 
 def block_labels(labels: np.ndarray, block: int = BLOCK) -> np.ndarray:
@@ -162,9 +130,7 @@ def block_labels(labels: np.ndarray, block: int = BLOCK) -> np.ndarray:
     cropped back from a padded scan keep consistent block indices. Bits
     other than 0 and 1 would alias the next block and are rejected.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if np.any((labels != 0) & (labels != 1)):
-        raise ValueError("block-scoped labels must be region bits 0 or 1")
+    labels = as_labels(labels, region_bits=True)
     h, w = labels.shape
     blocks_x = -(-w // block)
     r_block = np.arange(h) // block

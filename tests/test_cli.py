@@ -23,15 +23,16 @@ from varipix import (
     run_pipeline,
     scan_parallel_fused,
     scan_variants,
-    select_mask,
     write_pgm,
 )
 from varipix.cli import main
 from varipix.filters import (
+    ADAPTIVE_MODES,
     DEFAULT_ADAPTIVE_MODE,
     DEFAULT_FILTER_MODE,
     DEFAULT_KERNEL,
     DEFAULT_STATISTIC,
+    FILTER_MODES,
     STATISTICS,
 )
 from varipix.noise import NOISE_KINDS
@@ -315,8 +316,9 @@ def test_retyped_defaults_read_one_constant(monkeypatch, tmp_path):
     assert PipelineConfig.kernels == (DEFAULT_KERNEL,)
     assert option["scan", "criterion"] == option["run", "criterion"] == DEFAULT_CRITERION
     assert option["run", "adaptive_mode"] == DEFAULT_ADAPTIVE_MODE
+    assert FILTER_MODES == ("square", *(f"adaptive-{m}" for m in ADAPTIVE_MODES))
     assert (PipelineConfig.criterion, PipelineConfig.adaptive_mode) == (DEFAULT_CRITERION, DEFAULT_ADAPTIVE_MODE)
-    for fn in (scan_variants, scan_parallel_fused, select_mask):
+    for fn in (scan_variants, scan_parallel_fused):
         assert inspect.signature(fn).parameters["criterion"].default == DEFAULT_CRITERION
     assert inspect.signature(adaptive_filter).parameters["mode"].default == DEFAULT_ADAPTIVE_MODE
     for fn in (box_filter, adaptive_filter):

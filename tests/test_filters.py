@@ -93,6 +93,17 @@ def test_adaptive_mode_validation(rng):
         adaptive_filter(img, np.zeros((4, 4), dtype=np.int64), 3, mode="global")
 
 
+@pytest.mark.parametrize("mode", ["literal", "block"])
+@pytest.mark.parametrize("bad", [1.6, np.nan])
+def test_adaptive_rejects_non_integer_labels(rng, mode, bad):
+    # a cast would filter 1.6 as label 1 and nan as -2**63
+    img = random_image(rng, 6, 6)
+    labels = np.zeros((6, 6))
+    labels[2, 3] = bad
+    with pytest.raises(ValueError, match="labels must be integers"):
+        adaptive_filter(img, labels, 3, mode=mode)
+
+
 def test_adaptive_shape_mismatch_rejected(rng):
     img = random_image(rng, 4, 4)
     with pytest.raises(ValueError, match="label map shape"):

@@ -10,9 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from varipix import (
     adaptive_filter,
-    add_gaussian,
-    add_salt_pepper,
-    add_speckle,
+    NoiseSpec,
+    apply_noise,
     box_filter,
     mse,
     psnr,
@@ -24,7 +23,7 @@ from varipix import (
     write_pgm,
     write_raw,
 )
-from varipix.imgio import ImageFormatError, as_image, quantize
+from varipix.imgio import ImageFormatError, as_image, as_labels, quantize
 
 
 def test_read_ascii_pgm_exact_values(tmp_path):
@@ -299,12 +298,21 @@ def test_as_image_rejects_non_finite(value):
         as_image(img)
 
 
+def test_as_labels_takes_integer_and_bool_dtypes_only():
+    labels = as_labels(np.array([[True, False]]))
+    assert labels.dtype == np.int64 and labels.tolist() == [[1, 0]]
+    with pytest.raises(ValueError, match="labels must be integers"):
+        as_labels(np.array([[0.0, 1.0]]))
+    with pytest.raises(ValueError, match="region bits"):
+        as_labels(np.array([[0, 2]], dtype=np.uint8), region_bits=True)
+
+
 ENTRY_POINTS = {
     "box_filter": lambda img: box_filter(img, 3),
     "adaptive_filter": lambda img: adaptive_filter(img, np.zeros(img.shape, dtype=np.int64), 3),
-    "add_salt_pepper": lambda img: add_salt_pepper(img, 0.05, seed=1),
-    "add_gaussian": lambda img: add_gaussian(img, 25.5, seed=1),
-    "add_speckle": lambda img: add_speckle(img, 0.04, seed=1),
+    "add_salt_pepper": lambda img: apply_noise(img, NoiseSpec("salt_pepper", seed=1)),
+    "add_gaussian": lambda img: apply_noise(img, NoiseSpec("gaussian", seed=1)),
+    "add_speckle": lambda img: apply_noise(img, NoiseSpec("speckle", seed=1)),
     "mse": lambda img: mse(np.zeros(img.shape), img),
     "psnr": lambda img: psnr(np.zeros(img.shape), img),
 }

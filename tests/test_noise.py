@@ -9,26 +9,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varipix import NoiseSpec, add_gaussian, add_salt_pepper, add_speckle, apply_noise
+from varipix import NoiseSpec, apply_noise
 
 from .conftest import random_image
 
 
+def salt_pepper(img, density, seed):
+    return apply_noise(img, NoiseSpec("salt_pepper", density=density, seed=seed))
+
+
+def gaussian(img, sigma, seed):
+    return apply_noise(img, NoiseSpec("gaussian", sigma=sigma, seed=seed))
+
+
+def speckle(img, variance, seed):
+    return apply_noise(img, NoiseSpec("speckle", variance=variance, seed=seed))
+
+
 def test_salt_pepper_density_zero_is_identity(rng):
     img = random_image(rng, 20, 20)
-    assert np.array_equal(add_salt_pepper(img, 0.0, seed=1), img)
+    assert np.array_equal(salt_pepper(img, 0.0, seed=1), img)
 
 
 def test_salt_pepper_density_one_saturates(rng):
     img = random_image(rng, 20, 20)
-    out = add_salt_pepper(img, 1.0, seed=1)
+    out = salt_pepper(img, 1.0, seed=1)
     assert np.isin(out, (0.0, 255.0)).all()
 
 
 def test_salt_pepper_count_within_four_sigma():
     img = np.full((512, 512), 128.0)
     density = 0.05
-    out = add_salt_pepper(img, density, seed=42)
+    out = salt_pepper(img, density, seed=42)
     changed = int(np.count_nonzero(out != 128.0))
     n = img.size
     expected = n * density
@@ -39,7 +51,7 @@ def test_salt_pepper_count_within_four_sigma():
 
 def test_salt_pepper_salt_and_pepper_roughly_balanced():
     img = np.full((512, 512), 128.0)
-    out = add_salt_pepper(img, 0.05, seed=7)
+    out = salt_pepper(img, 0.05, seed=7)
     salt = int(np.count_nonzero(out == 255.0))
     pepper = int(np.count_nonzero(out == 0.0))
     total = salt + pepper
@@ -49,65 +61,65 @@ def test_salt_pepper_salt_and_pepper_roughly_balanced():
 
 def test_salt_pepper_rejects_bad_density():
     with pytest.raises(ValueError, match="density"):
-        add_salt_pepper(np.zeros((2, 2)), 1.5, seed=1)
+        salt_pepper(np.zeros((2, 2)), 1.5, seed=1)
 
 
 def test_gaussian_sigma_zero_is_identity(rng):
     img = random_image(rng, 20, 20)
-    assert np.array_equal(add_gaussian(img, 0.0, seed=1), img)
+    assert np.array_equal(gaussian(img, 0.0, seed=1), img)
 
 
 def test_gaussian_sample_mean_tracks_clt_bound():
     img = np.full((512, 512), 128.0)
     sigma = 10.0
-    out = add_gaussian(img, sigma, seed=42)
+    out = gaussian(img, sigma, seed=42)
     n = img.size
     assert abs(out.mean() - 128.0) <= 4.0 * sigma / math.sqrt(n)
 
 
 def test_gaussian_sample_std_close():
     img = np.full((512, 512), 128.0)
-    out = add_gaussian(img, 10.0, seed=42)
+    out = gaussian(img, 10.0, seed=42)
     assert out.std() == pytest.approx(10.0, rel=0.05)
 
 
 def test_gaussian_clips_to_range(rng):
     img = random_image(rng, 32, 32)
-    out = add_gaussian(img, 200.0, seed=3)
+    out = gaussian(img, 200.0, seed=3)
     assert out.min() >= 0.0
     assert out.max() <= 255.0
 
 
 def test_gaussian_rejects_negative_sigma():
     with pytest.raises(ValueError, match="sigma"):
-        add_gaussian(np.zeros((2, 2)), -1.0, seed=1)
+        gaussian(np.zeros((2, 2)), -1.0, seed=1)
 
 
 def test_speckle_variance_zero_is_identity(rng):
     img = random_image(rng, 20, 20)
-    assert np.array_equal(add_speckle(img, 0.0, seed=1), img)
+    assert np.array_equal(speckle(img, 0.0, seed=1), img)
 
 
 def test_speckle_leaves_black_pixels_black():
     img = np.zeros((64, 64))
-    assert np.array_equal(add_speckle(img, 0.04, seed=5), img)
+    assert np.array_equal(speckle(img, 0.04, seed=5), img)
 
 
 def test_speckle_per_pixel_std_scales_with_intensity():
     img = np.full((512, 512), 100.0)
-    out = add_speckle(img, 0.04, seed=42)
+    out = speckle(img, 0.04, seed=42)
     # noise std should be 100 * sqrt(0.04) = 20, within 5 percent
     assert (out - 100.0).std() == pytest.approx(20.0, rel=0.05)
 
 
 def test_speckle_rejects_negative_variance():
     with pytest.raises(ValueError, match="variance"):
-        add_speckle(np.zeros((2, 2)), -0.1, seed=1)
+        speckle(np.zeros((2, 2)), -0.1, seed=1)
 
 
 def test_same_seed_is_bit_identical(rng):
     img = random_image(rng, 48, 48)
-    for fn, arg in ((add_salt_pepper, 0.05), (add_gaussian, 25.5), (add_speckle, 0.04)):
+    for fn, arg in ((salt_pepper, 0.05), (gaussian, 25.5), (speckle, 0.04)):
         a = fn(img, arg, seed=42)
         b = fn(img, arg, seed=42)
         assert np.array_equal(a, b)
@@ -116,28 +128,36 @@ def test_same_seed_is_bit_identical(rng):
 
 def test_different_seeds_differ(rng):
     img = random_image(rng, 48, 48)
-    for fn, arg in ((add_salt_pepper, 0.05), (add_gaussian, 25.5), (add_speckle, 0.04)):
+    for fn, arg in ((salt_pepper, 0.05), (gaussian, 25.5), (speckle, 0.04)):
         assert not np.array_equal(fn(img, arg, seed=1), fn(img, arg, seed=2))
 
 
 def test_noise_does_not_mutate_input(rng):
     img = random_image(rng, 16, 16)
     copy = img.copy()
-    add_salt_pepper(img, 0.5, seed=1)
-    add_gaussian(img, 25.5, seed=1)
-    add_speckle(img, 0.04, seed=1)
+    salt_pepper(img, 0.5, seed=1)
+    gaussian(img, 25.5, seed=1)
+    speckle(img, 0.04, seed=1)
     assert np.array_equal(img, copy)
 
 
 def test_apply_noise_dispatch_matches_direct(rng):
-    img = random_image(rng, 24, 24)
-    pairs = [
-        (NoiseSpec("salt_pepper", density=0.1, seed=9), add_salt_pepper(img, 0.1, 9)),
-        (NoiseSpec("gaussian", sigma=5.0, seed=9), add_gaussian(img, 5.0, 9)),
-        (NoiseSpec("speckle", variance=0.02, seed=9), add_speckle(img, 0.02, 9)),
-    ]
-    for spec, want in pairs:
-        assert np.array_equal(apply_noise(img, spec), want)
+    # the module docstring's stream, written out; 35 pixels leave the last normal pair half used
+    img = random_image(rng, 5, 7)
+    u = np.random.Generator(np.random.PCG64(9)).random(2 * img.size)
+    corrupt = u[: img.size] < 0.1
+    flips = u[img.size : img.size + corrupt.sum()]
+    want = img.ravel().copy()
+    want[corrupt] = np.where(flips < 0.5, 0.0, 255.0)
+    assert np.array_equal(apply_noise(img, NoiseSpec("salt_pepper", density=0.1, seed=9)), want.reshape(img.shape))
+    u1, u2 = u[0:36:2], u[1:36:2]
+    radius = np.sqrt(-2.0 * np.log(1.0 - u1))
+    z = np.column_stack([radius * np.cos(2 * np.pi * u2), radius * np.sin(2 * np.pi * u2)]).ravel()
+    z = z[: img.size].reshape(img.shape)
+    got = apply_noise(img, NoiseSpec("gaussian", sigma=5.0, seed=9))
+    np.testing.assert_allclose(got, np.clip(img + 5.0 * z, 0.0, 255.0), rtol=1e-12, atol=1e-9)
+    got = apply_noise(img, NoiseSpec("speckle", variance=0.02, seed=9))
+    np.testing.assert_allclose(got, np.clip(img + img * (np.sqrt(0.02) * z), 0.0, 255.0), rtol=1e-12, atol=1e-9)
 
 
 def test_noisespec_validation():
@@ -149,6 +169,13 @@ def test_noisespec_validation():
         NoiseSpec("gaussian", sigma=-2.0)
     with pytest.raises(ValueError, match="variance"):
         NoiseSpec("speckle", variance=-0.5)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="density"):
+            NoiseSpec("salt_pepper", density=value)
+        with pytest.raises(ValueError, match="sigma"):
+            NoiseSpec("gaussian", sigma=value)
+        with pytest.raises(ValueError, match="variance"):
+            NoiseSpec("speckle", variance=value)
 
 
 def test_noisespec_defaults():

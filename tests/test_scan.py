@@ -1,4 +1,4 @@
-"""Block padding, mask application/selection, and the three scan flavors."""
+"""Block padding, the square scan, and the fused scan: on one 6x6 block and on whole images."""
 
 from __future__ import annotations
 
@@ -9,17 +9,14 @@ from hypothesis import strategies as st
 
 from varipix import (
     adaptive_filter,
-    apply_mask_to_block,
     block_labels,
     builtin_masks,
     load_masks,
     pad_to_block_multiple,
     scan_parallel_fused,
     scan_square,
-    scan_uniform,
-    select_mask,
 )
-from varipix.scan import BLOCK, CRITERIA
+from varipix.scan import BLOCK, CRITERIA, DEFAULT_CRITERION
 
 from .conftest import random_image
 from .reference import (
@@ -57,6 +54,18 @@ mask tri custom 0
 000011
 000001
 """
+
+
+def scan_block(block, maskset, criterion=DEFAULT_CRITERION):
+    """A 6x6 image is one block of the fused scan: (chosen mask index, output block)."""
+    result = scan_parallel_fused(block, maskset, criterion)
+    return int(result.chosen_masks[0, 0]), result.image
+
+
+def apply_mask(block, m):
+    """One mask's two-region rebuild of a block, and its recon error."""
+    _, out = scan_block(block, (m,))
+    return out, float(((block - out) ** 2).sum())
 
 
 def asym_gradient_block():
@@ -101,21 +110,12 @@ def test_scans_reject_non_finite_samples(masks):
     for scan in (scan_square, lambda a: scan_parallel_fused(a, masks)):
         with pytest.raises(ValueError, match="non-finite"):
             scan(img)
-    with pytest.raises(ValueError, match="non-finite"):
-        select_mask(img, masks)
-
-
-def test_one_block_api_rejects_other_shapes(masks):
-    with pytest.raises(ValueError, match="6x6"):
-        select_mask(np.zeros((6, 12)), masks)
-    with pytest.raises(ValueError, match="6x6"):
-        apply_mask_to_block(np.zeros((5, 6)), masks[0])
 
 
 def test_apply_mask_constant_block_is_fixed_point(masks):
     block = np.full((6, 6), 93.0)
     for m in masks:
-        out, err = apply_mask_to_block(block, m)
+        out, err = apply_mask(block, m)
         assert np.array_equal(out, block)
         assert err == 0.0
 
@@ -123,7 +123,7 @@ def test_apply_mask_constant_block_is_fixed_point(masks):
 def test_apply_mask_two_level_block_is_fixed_point(masks):
     m = masks[0]
     block = np.where(m.cells == 0, 10.0, 200.0)
-    out, err = apply_mask_to_block(block, m)
+    out, err = apply_mask(block, m)
     assert np.array_equal(out, block)
     assert err == 0.0
 
@@ -132,7 +132,7 @@ def test_apply_mask_matches_naive_oracle(masks, rng):
     for _ in range(5):
         block = random_image(rng, 6, 6)
         for m in masks:
-            out, err = apply_mask_to_block(block, m)
+            out, err = apply_mask(block, m)
             ref_out, ref_err = naive_region_apply(block, m.cells)
             np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-9)
             assert err == pytest.approx(ref_err, abs=1e-6)
@@ -141,57 +141,56 @@ def test_apply_mask_matches_naive_oracle(masks, rng):
 def test_apply_mask_output_piecewise_constant(masks, rng):
     block = random_image(rng, 6, 6)
     for m in masks:
-        out, _ = apply_mask_to_block(block, m)
+        out, _ = apply_mask(block, m)
         assert len(np.unique(out[m.cells == 0])) == 1
         assert len(np.unique(out[m.cells == 1])) == 1
 
 
 def test_select_constant_block_ties_to_lowest_index(masks):
-    index, score = select_mask(np.full((6, 6), 42.0), masks)
+    block = np.full((6, 6), 42.0)
+    index, out = scan_block(block, masks)
     assert index == 0
-    assert score == 0.0
-    index, _ = select_mask(np.full((6, 6), 42.0), masks, criterion="mean-diff")
+    assert np.array_equal(out, block)  # zero recon error
+    index, _ = scan_block(block, masks, criterion="mean-diff")
     assert index == 0
 
 
 def test_select_finds_exact_partition_match(masks):
     for i, m in enumerate(masks):
         block = np.where(m.cells == 0, 0.0, 255.0)
-        index, score = select_mask(block, masks)
+        index, out = scan_block(block, masks)
         assert index == i
-        assert score == 0.0
+        assert np.array_equal(out, block)  # zero recon error
 
 
 def test_select_matches_exhaustive_oracle_on_gradient(masks):
     block = asym_gradient_block()
     for criterion in ("recon-error", "mean-diff"):
-        index, score = select_mask(block, masks, criterion=criterion)
+        index, out = scan_block(block, masks, criterion=criterion)
         ref_index, ref_score = naive_select_mask(block, masks, criterion=criterion)
         assert index == ref_index
-        assert score == pytest.approx(ref_score, rel=1e-12)
+        cells = masks[index].cells
+        got = ((block - out) ** 2).sum() if criterion == "recon-error" else abs(out[cells == 0][0] - out[cells == 1][0])
+        assert got == pytest.approx(ref_score, rel=1e-12)
 
 
 def test_select_matches_exhaustive_oracle_on_random_blocks(masks, rng):
     for _ in range(20):
         block = random_image(rng, 6, 6)
         for criterion in ("recon-error", "mean-diff"):
-            index, _ = select_mask(block, masks, criterion=criterion)
+            index, _ = scan_block(block, masks, criterion=criterion)
             ref_index, _ = naive_select_mask(block, masks, criterion=criterion)
             assert index == ref_index
 
 
 def test_select_rejects_bad_criterion(masks):
     with pytest.raises(ValueError, match="criterion"):
-        select_mask(np.zeros((6, 6)), masks, criterion="psnr")
+        scan_parallel_fused(np.zeros((6, 6)), masks, criterion="psnr")
 
 
-def test_scan_square_constant_image(masks):
+def test_scan_square_constant_image():
     img = np.full((12, 12), 7.0)
-    result = scan_square(img)
-    assert np.array_equal(result.image, img)
-    assert np.all(result.labels == 0)
-    assert result.chosen_masks is None
-    assert result.block_grid == (2, 2)
+    assert np.array_equal(scan_square(img), img)
 
 
 def test_scan_square_block_means():
@@ -199,9 +198,9 @@ def test_scan_square_block_means():
     img[:, 6:] = 200.0
     img[:3, :6] = 0.0
     img[3:, :6] = 200.0
-    result = scan_square(img)
-    assert np.all(result.image[:, :6] == 100.0)
-    assert np.all(result.image[:, 6:] == 200.0)
+    out = scan_square(img)
+    assert np.all(out[:, :6] == 100.0)
+    assert np.all(out[:, 6:] == 200.0)
 
 
 def test_scan_square_checker_block_mean():
@@ -209,27 +208,27 @@ def test_scan_square_checker_block_mean():
     img = np.where((r + c) % 2 == 0, 0.0, 255.0)
     # 18 zeros and 18 full-scale cells average to 127.5
     expected = (18 * 0.0 + 18 * 255.0) / 36
-    result = scan_square(img)
-    assert np.all(result.image == expected)
+    assert np.all(scan_square(img) == expected)
 
 
 def test_scan_square_matches_naive_means(rng):
     img = random_image(rng, 18, 24)
-    result = scan_square(img)
+    out = scan_square(img)
     for br in range(3):
         for bc in range(4):
             block = img[br * 6 : br * 6 + 6, bc * 6 : bc * 6 + 6]
             mean, _ = naive_square_error(block)
-            got = result.image[br * 6, bc * 6]
+            got = out[br * 6, bc * 6]
             assert got == pytest.approx(mean, abs=1e-9)
-            assert np.all(result.image[br * 6 : br * 6 + 6, bc * 6 : bc * 6 + 6] == got)
+            assert np.all(out[br * 6 : br * 6 + 6, bc * 6 : bc * 6 + 6] == got)
 
 
 def test_scan_uniform_labels_tile_the_mask(masks, rng):
     img = random_image(rng, 12, 18)
     m = masks[3]
-    result = scan_uniform(img, m)
-    assert result.block_grid == (3, 2)
+    result = scan_parallel_fused(img, (m,))
+    assert result.chosen_masks.shape == (2, 3)
+    assert np.all(result.chosen_masks == 0)
     for br in range(2):
         for bc in range(3):
             tile = result.labels[br * 6 : br * 6 + 6, bc * 6 : bc * 6 + 6]
@@ -239,14 +238,14 @@ def test_scan_uniform_labels_tile_the_mask(masks, rng):
 def test_scan_uniform_single_block_equals_apply(masks, rng):
     block = random_image(rng, 6, 6)
     for m in masks:
-        out, _ = apply_mask_to_block(block, m)
-        result = scan_uniform(block, m)
-        assert np.array_equal(result.image, out)
+        out, _ = apply_mask(block, m)
+        _, loop_out = loop_select_apply(block, (m,))
+        assert np.array_equal(out, loop_out)
 
 
 def test_uniform_scans_disagree_on_textured_image(masks, rng):
     img = random_image(rng, 6, 6)
-    outputs = [scan_uniform(img, m).image for m in masks]
+    outputs = [scan_parallel_fused(img, (m,)).image for m in masks]
     for i in range(len(outputs)):
         for j in range(i + 1, len(outputs)):
             assert not np.array_equal(outputs[i], outputs[j])
@@ -288,8 +287,7 @@ def test_fused_equals_direct_per_block_selection(masks, rng):
         for br in range(5):
             for bc in range(6):
                 block = img[br * 6 : br * 6 + 6, bc * 6 : bc * 6 + 6]
-                index, _ = select_mask(block, masks, criterion=criterion)
-                out, _ = apply_mask_to_block(block, masks[index])
+                index, out = scan_block(block, masks, criterion=criterion)
                 assert result.chosen_masks[br, bc] == index
                 got = result.image[br * 6 : br * 6 + 6, bc * 6 : bc * 6 + 6]
                 assert np.array_equal(got, out)
@@ -307,7 +305,7 @@ def naive_score(block, m, criterion):
 def assert_fused_matches_per_block(img, maskset, criterion):
     """The fused scan against three per-block paths, block by block.
 
-    The one-block API and the numpy loop reference must agree bit for bit;
+    The scan of the block alone and the numpy loop reference must agree bit for bit;
     the naive oracle sums in another order, so its pick may differ only
     where the two scores are equal up to rounding and nonzero.
     """
@@ -316,8 +314,7 @@ def assert_fused_matches_per_block(img, maskset, criterion):
         for bc in range(img.shape[1] // BLOCK):
             tile = np.s_[br * BLOCK : br * BLOCK + BLOCK, bc * BLOCK : bc * BLOCK + BLOCK]
             block = img[tile]
-            index, _ = select_mask(block, maskset, criterion)
-            out, _ = apply_mask_to_block(block, maskset[index])
+            index, out = scan_block(block, maskset, criterion)
             loop_index, loop_out = loop_select_apply(block, maskset, criterion)
             assert result.chosen_masks[br, bc] == index == loop_index
             assert np.array_equal(result.image[tile], out)
@@ -401,8 +398,6 @@ def test_fused_scan_is_idempotent_under_recon_error(masks, rng):
 def test_fused_rejects_empty_mask_set(masks):
     with pytest.raises(ValueError, match="empty mask set"):
         scan_parallel_fused(np.zeros((6, 6)), ())
-    with pytest.raises(ValueError, match="empty mask set"):
-        select_mask(np.zeros((6, 6)), ())
 
 
 def test_block_labels_formula():
@@ -441,7 +436,8 @@ def test_block_labels_commutes_with_cropping(masks, rng):
 def test_variable_recon_never_worse_than_square_property(seed):
     masks = builtin_masks()
     block = np.random.default_rng(seed).random((6, 6)) * 255.0
-    index, err = select_mask(block, masks)
+    index, out = scan_block(block, masks)
+    err = float(((block - out) ** 2).sum())
     _, square_err = naive_square_error(block)
     assert err <= square_err + 1e-9
     ref_out, ref_err = naive_region_apply(block, masks[index].cells)
@@ -454,7 +450,7 @@ def test_scan_mean_preservation_property(seed):
     masks = builtin_masks()
     block = np.random.default_rng(seed).random((6, 6)) * 255.0
     for m in masks:
-        out, _ = apply_mask_to_block(block, m)
+        out, _ = apply_mask(block, m)
         assert out.mean() == pytest.approx(block.mean(), abs=1e-9)
 
 
@@ -471,8 +467,8 @@ def test_recon_error_is_sse_minus_region_contrast_property(seed):
     for m in masks:
         n0, n1 = m.region_sizes()
         m0, m1 = block[m.cells == 0].mean(), block[m.cells == 1].mean()
-        _, err = apply_mask_to_block(block, m)
+        _, err = apply_mask(block, m)
         assert abs(err - (sse - n0 * n1 / 36 * (m0 - m1) ** 2)) <= 1e-9 * sse
         contrast.append(abs(m0 - m1))
-    index, _ = select_mask(block, masks)
+    index, _ = scan_block(block, masks)
     assert contrast[index] >= max(contrast) * (1 - 1e-9)
