@@ -3,11 +3,11 @@ simulation, shape-adaptive filtering and PSNR benchmarking."""
 
 from .masks import Mask, builtin_masks, load_masks, rotate90, save_masks
 from .imgio import read_image, read_labelmap, read_pgm, read_raw, write_labelmap, write_pgm, write_raw
-from .scan import BLOCK, ScanResult, block_labels, pad_to_block_multiple, scan_parallel_fused, scan_square
+from .scan import BLOCK, ScanResult, block_labels, scan_parallel_fused, scan_square
 from .noise import NoiseSpec, apply_noise
 from .filters import adaptive_filter, box_filter
 from .metrics import QualityReport, mse, psnr
-from .pipeline import PipelineConfig, PsnrRow, evaluate_image, run_pipeline, scan_variants
+from .pipeline import PipelineConfig, PsnrRow, evaluate_image, run_pipeline
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,6 @@ __all__ = [
     "BLOCK",
     "ScanResult",
     "block_labels",
-    "pad_to_block_multiple",
     "scan_parallel_fused",
     "scan_square",
     "NoiseSpec",
@@ -41,5 +40,4 @@ __all__ = [
     "PsnrRow",
     "evaluate_image",
     "run_pipeline",
-    "scan_variants",
 ]

@@ -41,8 +41,8 @@ from .noise import (
     NoiseSpec,
     apply_noise,
 )
-from .pipeline import PipelineConfig, format_db, load_mask_source, run_pipeline, scan_variants, write_image
-from .scan import CRITERIA, DEFAULT_CRITERION, pad_to_block_multiple, scan_square
+from .pipeline import PipelineConfig, format_db, load_mask_source, run_pipeline, write_image
+from .scan import CRITERIA, DEFAULT_CRITERION, scan_parallel_fused, scan_square
 
 
 def cli_errors(f):
@@ -104,13 +104,12 @@ def scan_cmd(input, out, labels, layout, mask_path, criterion, raw):
         raise click.UsageError("--labels requires --layout variable")
     img = read_image(input)
     if layout == "square":
-        h, w = img.shape
-        scanned = scan_square(pad_to_block_multiple(img))[:h, :w]
-    else:
-        _, scanned, lab = scan_variants(img, load_mask_source(mask_path), criterion)
-    write_image(scanned, out, raw)
+        write_image(scan_square(img), out, raw)
+        return
+    result = scan_parallel_fused(img, load_mask_source(mask_path), criterion)
+    write_image(result.image, out, raw)
     if labels is not None:
-        write_labelmap(lab, labels)
+        write_labelmap(result.labels, labels)
 
 
 @main.command("noise")

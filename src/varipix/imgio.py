@@ -25,10 +25,10 @@ class ImageFormatError(ValueError):
 
 
 def as_image(data) -> GrayImage:
-    """View data as a GrayImage; rejects non-2-D shapes and nan/inf samples."""
+    """View data as a GrayImage; rejects non-2-D or empty shapes and nan/inf samples."""
     arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"image must be 2-D, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"image must be 2-D with samples, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("image has non-finite samples (nan or inf)")
     return arr
@@ -154,6 +154,8 @@ def _read_grid(path, magic: str, what: str, noun: str, dtype, message: str) -> n
             w, h = int(header[1]), int(header[2])
         except ValueError:
             raise ImageFormatError(f"malformed {what} header: non-integer size") from None
+        if w <= 0 or h <= 0:
+            raise ImageFormatError(f"malformed {what} header: bad dimensions {w}x{h}")
         tokens = fh.read().split()
     if len(tokens) != w * h:
         raise ImageFormatError(f"{what} says {w}x{h} ({w * h} {noun}) but {len(tokens)} {noun} present")
@@ -161,7 +163,7 @@ def _read_grid(path, magic: str, what: str, noun: str, dtype, message: str) -> n
 
 
 def write_labelmap(labels: LabelMap, path) -> None:
-    _write_grid(np.asarray(labels).astype(np.int64, copy=False), path, "labels", str)
+    _write_grid(as_labels(labels, region_bits=True), path, "labels", str)
 
 
 def read_labelmap(path) -> LabelMap:

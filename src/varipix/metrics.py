@@ -9,6 +9,8 @@ import numpy as np
 
 from .imgio import as_image
 
+PEAK = 255.0  # intensities live on [0, 255]
+
 
 @dataclass(frozen=True)
 class QualityReport:
@@ -24,9 +26,9 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def psnr(a: np.ndarray, b: np.ndarray, peak: float = 255.0) -> QualityReport:
-    """10 * log10(peak^2 / mse); identical images report infinite PSNR."""
+def psnr(a: np.ndarray, b: np.ndarray) -> QualityReport:
+    """10 * log10(PEAK^2 / mse); identical images report infinite PSNR."""
     err = mse(a, b)
     if err == 0.0:
         return QualityReport(0.0, math.inf)
-    return QualityReport(err, 10.0 * math.log10(peak * peak / err))
+    return QualityReport(err, 10.0 * math.log10(PEAK * PEAK / err))

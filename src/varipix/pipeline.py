@@ -7,11 +7,11 @@ rows for three variants, each with the requested kernels and statistics:
 * variable: fused variable-pixel scan, plain box filter
 * adaptive: fused variable-pixel scan, shape-adaptive filter on its labels
 
-PSNR is always measured against the original clean image over the original
-pixel area (inputs are padded to a block multiple for scanning and the
-scans cropped back). Rows come out sorted by image, noise, pipeline
-(square, variable, adaptive), statistic, kernel. Flagged intermediates
-are dumped through `write_image`, the writer the stage commands use too.
+PSNR is always measured against the original clean image; the scans return
+images of the input's shape whatever its size. Rows come out sorted by
+image, noise, pipeline (square, variable, adaptive), statistic, kernel.
+Flagged intermediates are dumped through `write_image`, the writer the
+stage commands use too.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .noise import (
     NoiseSpec,
     apply_noise,
 )
-from .scan import DEFAULT_CRITERION, pad_to_block_multiple, scan_parallel_fused, scan_square
+from .scan import DEFAULT_CRITERION, scan_parallel_fused, scan_square
 
 CSV_HEADER = "image,noise,pipeline,statistic,kernel,psnr_db"
 PIPELINES = ("square", "variable", "adaptive")
@@ -89,18 +89,6 @@ def rows_to_csv(rows: list[PsnrRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scan_variants(img, maskset: MaskSet, criterion: str = DEFAULT_CRITERION):
-    """Pad, run both scans, crop back to the original pixel area.
-
-    Returns (square image, variable image, variable label map).
-    """
-    h, w = img.shape
-    padded = pad_to_block_multiple(img)
-    square = scan_square(padded)[:h, :w]
-    fused = scan_parallel_fused(padded, maskset, criterion)
-    return square, fused.image[:h, :w], fused.labels[:h, :w]
-
-
 def write_image(img, path, raw: bool) -> None:
     """Write img as a lossless raw dump, or as an 8-bit PGM."""
     # looked up here, not in imgio, so that bench/tracing.py sees every write
@@ -116,7 +104,9 @@ def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet) -> lis
         if dump_dir is not None:
             write_image(image, dump_dir / f"{name}_{stem}{suffix}", cfg.raw_intermediates)
 
-    square, variable, labels = scan_variants(img, maskset, cfg.criterion)
+    square = scan_square(img)
+    fused = scan_parallel_fused(img, maskset, cfg.criterion)
+    variable, labels = fused.image, fused.labels
     dump("square", square)
     dump("variable", variable)
     if dump_dir is not None:
@@ -157,6 +147,11 @@ def run_pipeline(cfg: PipelineConfig) -> list[PsnrRow]:
     """
     if not cfg.inputs:
         raise ValueError("at least one input image is required")
+    paths = sorted(Path(p) for p in cfg.inputs)
+    for path in paths:  # rows and dumps are named by stem, so stems must be unique
+        same = [str(q) for q in paths if q.stem == path.stem]
+        if len(same) > 1:
+            raise ValueError(f"inputs share the file stem {path.stem!r}: {', '.join(same)}")
     for kind in cfg.noise_kinds:
         if kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {kind!r}")
@@ -166,7 +161,7 @@ def run_pipeline(cfg: PipelineConfig) -> list[PsnrRow]:
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for path in sorted(Path(p) for p in cfg.inputs):
+    for path in paths:
         img = read_image(path)
         rows.extend(evaluate_image(path.stem, img, cfg, maskset))
     rows.sort(key=PsnrRow.key)

@@ -6,10 +6,13 @@ region's mean, so every block becomes piecewise constant over two regions.
 The fused scan picks the best mask per block from a mask set and also
 emits the per-pixel region-label map that drives adaptive filtering.
 
-Every scan is one kernel over the image as a C-contiguous (blocks, 36)
-tensor; a 6x6 image is one block of the same kernel. Ordering contract:
-region means reduce C-contiguous gathers (`np.take`; fancy indexing gives
-F-order, which numpy sums in another order, flipping last-ulp ties).
+Scans take an image of any shape: its right and bottom are edge-replicated
+up to a multiple of 6, and the scanned image and labels are cropped back to
+the input's shape (chosen_masks covers the whole padded grid). Every scan
+is one kernel over the padded image as a C-contiguous (blocks, 36) tensor;
+a 6x6 image is one block of the same kernel. Ordering contract: region
+means reduce C-contiguous gathers (`np.take`; fancy indexing gives F-order,
+which numpy sums in another order, flipping last-ulp ties).
 """
 
 from __future__ import annotations
@@ -31,33 +34,26 @@ DEFAULT_CRITERION = "recon-error"
 class ScanResult:
     image: np.ndarray  # piecewise-constant within each block region
     labels: np.ndarray  # int64 region bits, aligned with image
-    chosen_masks: np.ndarray  # (blocks_y, blocks_x) winning mask indices
-
-
-def pad_to_block_multiple(img: np.ndarray) -> np.ndarray:
-    """Edge-replicate on the right/bottom up to the next multiple of 6."""
-    h, w = img.shape
-    pad_h = (-h) % BLOCK
-    pad_w = (-w) % BLOCK
-    if pad_h == 0 and pad_w == 0:
-        return img
-    return np.pad(img, ((0, pad_h), (0, pad_w)), mode="edge")
+    chosen_masks: np.ndarray  # (ceil(h/6), ceil(w/6)) winning mask indices
 
 
 def _to_blocks(img) -> tuple[np.ndarray, tuple[int, int]]:
-    """The image as a C-contiguous (blocks, 36) tensor, blocks row-major."""
+    """The image edge-replicated right and bottom to a multiple of 6, as a
+    C-contiguous (blocks, 36) tensor, blocks row-major; and the image's shape."""
     img = as_image(img)
     h, w = img.shape
-    if h % BLOCK or w % BLOCK:
-        raise ValueError(f"image dimensions {w}x{h} are not multiples of {BLOCK}")
-    bx, by = w // BLOCK, h // BLOCK
-    tensor = img.reshape(by, BLOCK, bx, BLOCK).swapaxes(1, 2).reshape(by * bx, BLOCK * BLOCK)
-    return np.ascontiguousarray(tensor), (bx, by)
+    padded = np.pad(img, ((0, -h % BLOCK), (0, -w % BLOCK)), mode="edge")
+    by, bx = padded.shape[0] // BLOCK, padded.shape[1] // BLOCK
+    tensor = padded.reshape(by, BLOCK, bx, BLOCK).swapaxes(1, 2).reshape(by * bx, BLOCK * BLOCK)
+    return np.ascontiguousarray(tensor), img.shape
 
 
-def _from_blocks(tensor: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
-    bx, by = grid
-    return tensor.reshape(by, bx, BLOCK, BLOCK).swapaxes(1, 2).reshape(by * BLOCK, bx * BLOCK)
+def _from_blocks(tensor: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Inverse of _to_blocks: the blocks back on their grid, cropped to shape."""
+    h, w = shape
+    by, bx = -(-h // BLOCK), -(-w // BLOCK)
+    image = tensor.reshape(by, bx, BLOCK, BLOCK).swapaxes(1, 2).reshape(by * BLOCK, bx * BLOCK)
+    return image[:h, :w]
 
 
 def _fill(bits: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
@@ -104,10 +100,8 @@ def _select(tensor: np.ndarray, maskset, criterion: str):
 
 def scan_square(img: np.ndarray) -> np.ndarray:
     """Replace every 6x6 block with its arithmetic mean (square baseline)."""
-    tensor, (bx, by) = _to_blocks(img)
-    image = np.empty((by * BLOCK, bx * BLOCK))
-    image.reshape(by, BLOCK, bx, BLOCK)[...] = tensor.mean(-1).reshape(by, 1, bx, 1)
-    return image
+    tensor, shape = _to_blocks(img)
+    return _from_blocks(np.broadcast_to(tensor.mean(-1)[:, None], tensor.shape), shape)
 
 
 def scan_parallel_fused(img: np.ndarray, maskset: MaskSet, criterion: str = DEFAULT_CRITERION) -> ScanResult:
@@ -117,23 +111,23 @@ def scan_parallel_fused(img: np.ndarray, maskset: MaskSet, criterion: str = DEFA
     means, labels the winning region bits, and chosen_masks the winning
     indices. A one-mask set scans the whole image with that mask.
     """
-    tensor, (bx, by) = _to_blocks(img)
+    tensor, shape = _to_blocks(img)
     win, bits, blocks = _select(tensor, maskset, criterion)
-    labels = _from_blocks(bits, (bx, by)).astype(np.int64)
-    return ScanResult(_from_blocks(blocks, (bx, by)), labels, win.reshape(by, bx))
+    labels = _from_blocks(bits, shape).astype(np.int64)
+    return ScanResult(_from_blocks(blocks, shape), labels, win.reshape(-1, -(-shape[1] // BLOCK)))
 
 
-def block_labels(labels: np.ndarray, block: int = BLOCK) -> np.ndarray:
-    """Scope region bits to their block: label = block_index * 2 + bit.
+def block_labels(labels: np.ndarray) -> np.ndarray:
+    """Scope region bits to their 6x6 block: label = block_index * 2 + bit.
 
-    Blocks are indexed row-major over the ceil(width/block) grid, so maps
-    cropped back from a padded scan keep consistent block indices. Bits
-    other than 0 and 1 would alias the next block and are rejected.
+    Blocks are indexed row-major over the ceil(width/6) grid that scans pad
+    to, so scoping commutes with cropping. Bits other than 0 and 1 would
+    alias the next block and are rejected.
     """
     labels = as_labels(labels, region_bits=True)
     h, w = labels.shape
-    blocks_x = -(-w // block)
-    r_block = np.arange(h) // block
-    c_block = np.arange(w) // block
+    blocks_x = -(-w // BLOCK)
+    r_block = np.arange(h) // BLOCK
+    c_block = np.arange(w) // BLOCK
     index = r_block[:, None] * blocks_x + c_block[None, :]
     return index * 2 + labels

@@ -17,12 +17,13 @@ from varipix import (
     adaptive_filter,
     apply_noise,
     box_filter,
+    builtin_masks,
     load_masks,
     read_pgm,
     read_raw,
     run_pipeline,
     scan_parallel_fused,
-    scan_variants,
+    scan_square,
     write_pgm,
 )
 from varipix.cli import main
@@ -97,6 +98,20 @@ def test_scan_pads_and_crops_odd_sizes(runner, tmp_path):
     result = invoke(runner, "scan", img, "--out", out, "--raw")
     assert result.exit_code == 0
     assert read_raw(out).shape == (20, 26)
+
+
+def test_scan_runs_only_the_scan_of_its_layout(runner, tmp_path, monkeypatch):
+    img = tmp_path / "x.pgm"
+    write_pgm(disks(36)[:20, :26], img)
+    for layout, scan, other in (
+        ("square", scan_square, "scan_parallel_fused"),
+        ("variable", lambda a: scan_parallel_fused(a, builtin_masks()).image, "scan_square"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(f"varipix.cli.{other}", None)  # calling it would fail the command
+            out = tmp_path / f"{layout}.rawimg"
+            assert invoke(runner, "scan", img, "--out", out, "--layout", layout, "--raw").exit_code == 0
+        assert np.array_equal(read_raw(out), scan(read_pgm(img)))
 
 
 def test_staged_chain_matches_run_csv(runner, tmp_path):
@@ -288,6 +303,31 @@ def test_exit_code_4_for_non_finite_raw_sample(runner, tmp_path):
     assert "nan" not in result.output.splitlines()
 
 
+@pytest.mark.parametrize("header", ["rawgray 0 0\n", "rawgray -2 -3\n1 2 3 4 5 6\n"])
+def test_exit_code_4_for_raw_dump_with_no_samples(runner, tmp_path, header):
+    empty = tmp_path / "e.rawimg"
+    empty.write_text(header)
+    for args in (
+        ("psnr", empty, empty),
+        ("filter", empty, "--out", tmp_path / "f.pgm"),
+        ("run", empty, "--out-dir", tmp_path / "out"),
+    ):
+        result = invoke(runner, *args)
+        assert result.exit_code == 4, args
+        assert "bad dimensions" in result.output
+    assert not (tmp_path / "f.pgm").exists()
+
+
+def test_exit_code_4_for_inputs_that_share_a_stem(runner, tmp_path):
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        write_fixture(tmp_path / sub / "x.pgm")
+    result = invoke(runner, "run", tmp_path / "a", tmp_path / "b", "--out-dir", tmp_path / "out")
+    assert result.exit_code == 4
+    assert "stem 'x'" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_noise_and_run_defaults_match_library_defaults(runner, tmp_path):
     img = tmp_path / "x.pgm"
     write_fixture(img)
@@ -318,8 +358,7 @@ def test_retyped_defaults_read_one_constant(monkeypatch, tmp_path):
     assert option["run", "adaptive_mode"] == DEFAULT_ADAPTIVE_MODE
     assert FILTER_MODES == ("square", *(f"adaptive-{m}" for m in ADAPTIVE_MODES))
     assert (PipelineConfig.criterion, PipelineConfig.adaptive_mode) == (DEFAULT_CRITERION, DEFAULT_ADAPTIVE_MODE)
-    for fn in (scan_variants, scan_parallel_fused):
-        assert inspect.signature(fn).parameters["criterion"].default == DEFAULT_CRITERION
+    assert inspect.signature(scan_parallel_fused).parameters["criterion"].default == DEFAULT_CRITERION
     assert inspect.signature(adaptive_filter).parameters["mode"].default == DEFAULT_ADAPTIVE_MODE
     for fn in (box_filter, adaptive_filter):
         assert inspect.signature(fn).parameters["statistic"].default == DEFAULT_STATISTIC

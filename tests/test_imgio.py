@@ -13,12 +13,15 @@ from varipix import (
     NoiseSpec,
     apply_noise,
     box_filter,
+    builtin_masks,
     mse,
     psnr,
     read_image,
     read_labelmap,
     read_pgm,
     read_raw,
+    scan_parallel_fused,
+    scan_square,
     write_labelmap,
     write_pgm,
     write_raw,
@@ -161,9 +164,15 @@ def test_labelmap_rejects_labels_other_than_region_bits(tmp_path):
     # a label of 2 would alias the next block's bit 0 under block scoping
     for bad in (2, -1, 4096):
         path = tmp_path / f"b{bad}.labels"
-        write_labelmap(np.array([[0, 1], [1, bad]], dtype=np.int64), path)
+        path.write_text(f"labels 2 2\n0 1\n1 {bad}\n")
         with pytest.raises(ImageFormatError, match="region bits 0 or 1"):
             read_labelmap(path)
+        with pytest.raises(ValueError, match="region bits 0 or 1"):
+            write_labelmap(np.array([[0, 1], [1, bad]], dtype=np.int64), path)
+    # the writer does not truncate non-integer labels either
+    with pytest.raises(ValueError, match="integers"):
+        write_labelmap(np.array([[0.0, 0.6]]), tmp_path / "f.labels")
+    assert not (tmp_path / "f.labels").exists()
 
 
 def test_labelmap_count_mismatch_rejected(tmp_path):
@@ -178,6 +187,10 @@ def test_labelmap_bad_header_rejected(tmp_path):
     path.write_text("labls 2 2\n0 0\n0 0\n")
     with pytest.raises(ImageFormatError, match="malformed label map header"):
         read_labelmap(path)
+    for text in ("labels 0 0\n", "labels 0 3\n", "labels -2 -3\n0 0 0 0 0 0\n"):
+        path.write_text(text)
+        with pytest.raises(ImageFormatError, match="malformed label map header: bad dimensions"):
+            read_labelmap(path)
 
 
 def test_raw_round_trip_is_lossless(tmp_path, rng):
@@ -211,6 +224,10 @@ def test_raw_bad_header_rejected(tmp_path):
     path.write_text("rawgrey 1 1\n0.0\n")
     with pytest.raises(ImageFormatError, match="malformed raw dump header"):
         read_raw(path)
+    for text in ("rawgray 0 0\n", "rawgray 4 0\n", "rawgray -2 -3\n1 2 3 4 5 6\n"):
+        path.write_text(text)
+        with pytest.raises(ImageFormatError, match="malformed raw dump header: bad dimensions"):
+            read_raw(path)
 
 
 def test_raw_count_mismatch_rejected(tmp_path):
@@ -315,6 +332,8 @@ ENTRY_POINTS = {
     "add_speckle": lambda img: apply_noise(img, NoiseSpec("speckle", seed=1)),
     "mse": lambda img: mse(np.zeros(img.shape), img),
     "psnr": lambda img: psnr(np.zeros(img.shape), img),
+    "scan_square": scan_square,
+    "scan_parallel_fused": lambda img: scan_parallel_fused(img, builtin_masks()),
 }
 
 
@@ -324,6 +343,7 @@ ENTRY_POINTS = {
         (np.array([[1.0, np.nan], [2.0, 3.0]]), "non-finite"),
         (np.array([[1.0, 2.0], [-np.inf, 3.0]]), "non-finite"),
         (np.zeros((2, 2, 2)), "2-D"),
+        (np.zeros((0, 4)), "with samples"),
     ],
 )
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))

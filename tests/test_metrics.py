@@ -53,11 +53,6 @@ def test_psnr_full_scale_error():
     assert report.psnr_db == pytest.approx(0.0, abs=1e-12)
 
 
-def test_psnr_custom_peak():
-    report = psnr(np.zeros((4, 4)), np.ones((4, 4)), peak=1.0)
-    assert report.psnr_db == pytest.approx(0.0, abs=1e-12)
-
-
 def test_quality_report_is_frozen():
     report = QualityReport(1.0, 48.0)
     with pytest.raises(AttributeError):

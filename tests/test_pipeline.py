@@ -19,7 +19,8 @@ from varipix import (
     psnr,
     read_raw,
     run_pipeline,
-    scan_variants,
+    scan_parallel_fused,
+    scan_square,
     write_pgm,
 )
 from varipix.pipeline import CSV_HEADER, format_db, rows_to_csv
@@ -73,16 +74,16 @@ def test_row_sort_key_orders_canonically():
 
 def test_scan_variants_crops_to_input_shape(masks, rng):
     img = random_image(rng, 20, 26)
-    square, variable, labels = scan_variants(img, masks)
-    assert square.shape == (20, 26)
-    assert variable.shape == (20, 26)
-    assert labels.shape == (20, 26)
-    assert labels.dtype == np.int64
+    fused = scan_parallel_fused(img, masks)
+    assert scan_square(img).shape == (20, 26)
+    assert fused.image.shape == (20, 26)
+    assert fused.labels.shape == (20, 26)
+    assert fused.labels.dtype == np.int64
 
 
 def test_scan_variants_differ_on_structured_image(masks):
     img = small_fixture()
-    square, variable, _ = scan_variants(img, masks)
+    square, variable = scan_square(img), scan_parallel_fused(img, masks).image
     assert not np.array_equal(square, variable)
     # variable recon must be at least as close to the original overall
     assert psnr(img, variable).psnr_db >= psnr(img, square).psnr_db
@@ -111,7 +112,9 @@ def test_evaluate_image_matches_direct_stage_composition(masks):
     )
     rows = {(r.pipeline, r.statistic): r.psnr_db for r in evaluate_image("d", img, cfg, masks)}
 
-    square, variable, labels = scan_variants(img, masks, cfg.criterion)
+    square = scan_square(img)
+    fused = scan_parallel_fused(img, masks, cfg.criterion)
+    variable, labels = fused.image, fused.labels
     spec = NoiseSpec("salt_pepper", density=cfg.density, sigma=cfg.sigma,
                      variance=cfg.variance, seed=cfg.seed)
     noisy_square = apply_noise(square, spec)
@@ -174,6 +177,18 @@ def test_run_pipeline_rejects_empty_inputs():
         run_pipeline(PipelineConfig(inputs=()))
 
 
+def test_run_pipeline_rejects_inputs_that_share_a_stem(tmp_path):
+    paths = (tmp_path / "a" / "x.pgm", tmp_path / "a" / "x.rawimg", tmp_path / "b" / "x.pgm")
+    for path in paths:
+        path.parent.mkdir(exist_ok=True)
+        write_pgm(small_fixture(), path)
+    out_dir = tmp_path / "out"
+    with pytest.raises(ValueError, match="stem 'x'") as err:
+        run_pipeline(PipelineConfig(inputs=paths, out_dir=out_dir))
+    assert all(str(path) in str(err.value) for path in paths)
+    assert not out_dir.exists()
+
+
 def test_run_pipeline_rejects_unknown_noise(tmp_path):
     path = tmp_path / "d.pgm"
     write_pgm(small_fixture(), path)
@@ -198,7 +213,9 @@ def test_dumped_raw_intermediates_match_stage_values(masks, tmp_path):
     run_pipeline(cfg)
 
     clean = np.asarray(img, dtype=np.float64)
-    square, variable, labels = scan_variants(clean, masks)
+    square = scan_square(clean)
+    fused = scan_parallel_fused(clean, masks)
+    variable, labels = fused.image, fused.labels
     assert np.array_equal(read_raw(out_dir / "disks_square.rawimg"), square)
     assert np.array_equal(read_raw(out_dir / "disks_variable.rawimg"), variable)
     spec = NoiseSpec("gaussian", seed=42)

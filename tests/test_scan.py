@@ -1,4 +1,4 @@
-"""Block padding, the square scan, and the fused scan: on one 6x6 block and on whole images."""
+"""The square scan and the fused scan: on one 6x6 block and on whole images of any shape."""
 
 from __future__ import annotations
 
@@ -12,11 +12,10 @@ from varipix import (
     block_labels,
     builtin_masks,
     load_masks,
-    pad_to_block_multiple,
     scan_parallel_fused,
     scan_square,
 )
-from varipix.scan import BLOCK, CRITERIA, DEFAULT_CRITERION
+from varipix.scan import BLOCK, CRITERIA, DEFAULT_CRITERION, _from_blocks, _to_blocks
 
 from .conftest import random_image
 from .reference import (
@@ -74,34 +73,65 @@ def asym_gradient_block():
     return 7.0 * r + 3.0 * c + 0.25 * r * c
 
 
-def test_pad_512_to_516():
+def test_pad_512_to_516(masks):
     img = np.arange(512 * 512, dtype=np.float64).reshape(512, 512)
-    padded = pad_to_block_multiple(img)
-    assert padded.shape == (516, 516)
+    tensor, shape = _to_blocks(img)
+    assert shape == (512, 512)
+    assert tensor.shape == (86 * 86, BLOCK * BLOCK)
+    assert tensor.flags.c_contiguous
+    padded = _from_blocks(tensor, (516, 516))
     assert np.array_equal(padded[:512, :512], img)
     # replicated edges repeat the last row/column
     for extra in range(512, 516):
         assert np.array_equal(padded[extra, :512], img[511])
         assert np.array_equal(padded[:512, extra], img[:, 511])
     assert np.all(padded[512:, 512:] == img[511, 511])
+    assert np.array_equal(_from_blocks(tensor, shape), img)
+    result = scan_parallel_fused(img, masks)
+    assert result.image.shape == result.labels.shape == (512, 512)
+    assert result.chosen_masks.shape == (86, 86)
 
 
-def test_pad_multiple_is_identity():
-    img = np.zeros((510, 510))
-    assert pad_to_block_multiple(img) is img
+def test_pad_multiple_is_identity(rng):
+    img = random_image(rng, 510, 510)
+    tensor, shape = _to_blocks(img)
+    assert shape == (510, 510)
+    assert tensor.shape == (85 * 85, BLOCK * BLOCK)
+    # no padded samples: each row is one block of img, blocks row-major
+    assert np.array_equal(tensor[0], img[:6, :6].ravel())
+    assert np.array_equal(tensor[1], img[:6, 6:12].ravel())
+    assert np.array_equal(tensor[85], img[6:12, :6].ravel())
+    assert np.array_equal(tensor[-1], img[504:, 504:].ravel())
+    assert np.array_equal(_from_blocks(tensor, shape), img)
 
 
-def test_pad_rectangular():
-    img = np.ones((7, 13))
-    assert pad_to_block_multiple(img).shape == (12, 18)
+def edge_pad(img):
+    """img edge-replicated right and bottom up to a multiple of 6."""
+    h, w = img.shape
+    return np.pad(img, ((0, -h % BLOCK), (0, -w % BLOCK)), mode="edge")
 
 
-def test_scans_reject_non_multiple_dims(masks):
-    img = np.zeros((10, 12))
-    with pytest.raises(ValueError, match="not multiples of 6"):
-        scan_square(img)
-    with pytest.raises(ValueError, match="not multiples of 6"):
-        scan_parallel_fused(img, masks)
+@pytest.mark.parametrize("integer_valued", [False, True])
+def test_scans_of_any_shape_equal_scanning_the_edge_padded_image_and_cropping(masks, integer_valued):
+    rng = np.random.default_rng(6)
+    for h in range(1, 21):
+        for w in range(1, 21):
+            img = rng.random((h, w)) * 255.0
+            if integer_valued:
+                img = np.floor(img)
+            padded = edge_pad(img)
+            square = scan_square(img)
+            assert square.shape == (h, w)
+            assert np.array_equal(square, scan_square(padded)[:h, :w])
+            for criterion in CRITERIA:
+                got = scan_parallel_fused(img, masks, criterion)
+                want = scan_parallel_fused(padded, masks, criterion)
+                assert got.image.shape == got.labels.shape == (h, w)
+                assert got.labels.dtype == np.int64
+                assert got.chosen_masks.shape == (-(-h // BLOCK), -(-w // BLOCK))
+                assert np.array_equal(got.image, want.image[:h, :w])
+                assert np.array_equal(got.labels, want.labels[:h, :w])
+                assert np.array_equal(got.chosen_masks, want.chosen_masks)
 
 
 def test_scans_reject_non_finite_samples(masks):
@@ -340,7 +370,7 @@ def test_fused_matches_per_block_paths_property(h, w, seed, criterion):
     # random floats make every region mean round: a reduction in another
     # order than the loop reference shows up here in the last ulp
     img = np.random.default_rng(seed).random((h, w)) * 255.0
-    assert_fused_matches_per_block(pad_to_block_multiple(img), builtin_masks(), criterion)
+    assert_fused_matches_per_block(edge_pad(img), builtin_masks(), criterion)
 
 
 def test_unequal_split_mask_file(tmp_path, rng):
@@ -424,10 +454,8 @@ def test_block_labels_rejects_non_bits(rng):
 
 def test_block_labels_commutes_with_cropping(masks, rng):
     img = random_image(rng, 20, 26)
-    padded = pad_to_block_multiple(img)
-    result = scan_parallel_fused(padded, masks)
-    scoped_then_cropped = block_labels(result.labels)[:20, :26]
-    cropped_then_scoped = block_labels(result.labels[:20, :26])
+    scoped_then_cropped = block_labels(scan_parallel_fused(edge_pad(img), masks).labels)[:20, :26]
+    cropped_then_scoped = block_labels(scan_parallel_fused(img, masks).labels)
     assert np.array_equal(scoped_then_cropped, cropped_then_scoped)
 
 
