@@ -6,7 +6,7 @@ from .imgio import read_image, read_labelmap, read_pgm, read_raw, write_labelmap
 from .scan import BLOCK, ScanResult, block_labels, scan_parallel_fused, scan_square
 from .noise import NoiseSpec, apply_noise
 from .filters import adaptive_filter, box_filter
-from .metrics import QualityReport, mse, psnr
+from .metrics import mse, psnr
 from .pipeline import PipelineConfig, PsnrRow, evaluate_image, run_pipeline
 
 __version__ = "0.1.0"
@@ -33,7 +33,6 @@ __all__ = [
     "apply_noise",
     "adaptive_filter",
     "box_filter",
-    "QualityReport",
     "mse",
     "psnr",
     "PipelineConfig",

@@ -140,6 +140,8 @@ def noise_cmd(input, out, kind, density, sigma, variance, seed, raw):
 @cli_errors
 def filter_cmd(input, out, kernel, statistic, mode, labels, raw):
     """Box-filter an image, or adaptively filter it along its label map."""
+    if labels is not None and mode == "square":
+        raise click.UsageError("--labels requires an adaptive --mode")
     img = read_image(input)
     if mode == "square":
         filtered = box_filter(img, kernel, statistic)
@@ -157,8 +159,7 @@ def filter_cmd(input, out, kernel, statistic, mode, labels, raw):
 @cli_errors
 def psnr_cmd(reference, test):
     """Print the PSNR (dB) between two images; 'inf' for identical images."""
-    report = psnr(read_image(reference), read_image(test))
-    click.echo(format_db(report.psnr_db))
+    click.echo(format_db(psnr(read_image(reference), read_image(test))))
 
 
 @main.command("run")

@@ -41,7 +41,16 @@ class Mask:
         cells = np.array(self.cells, dtype=np.uint8)
         cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)
-        validate_mask(self)
+        if cells.shape != (MASK_SIZE, MASK_SIZE):
+            raise MaskError(f"mask {self.id!r}: cells must be {MASK_SIZE}x{MASK_SIZE}")
+        if not np.isin(cells, (0, 1)).all():
+            raise MaskError(f"mask {self.id!r}: cells must contain only 0 or 1")
+        if 0 in self.region_sizes():
+            raise MaskError(f"mask {self.id!r}: empty region")
+        if self.shape_kind not in SHAPE_KINDS:
+            raise MaskError(f"mask {self.id!r}: unknown shape kind {self.shape_kind!r}")
+        if self.orientation not in ORIENTATIONS:
+            raise MaskError(f"mask {self.id!r}: orientation must be one of {ORIENTATIONS}")
 
     def __eq__(self, other):
         if not isinstance(other, Mask):
@@ -59,40 +68,6 @@ class Mask:
 
 
 MaskSet = tuple[Mask, ...]  # a mask set is a plain tuple of masks
-
-
-def validate_mask(m: Mask) -> None:
-    """Raise MaskError unless m is a well-formed two-region mask."""
-    if m.cells.shape != (MASK_SIZE, MASK_SIZE):
-        raise MaskError(f"mask {m.id!r}: cells must be {MASK_SIZE}x{MASK_SIZE}")
-    if not np.isin(m.cells, (0, 1)).all():
-        raise MaskError(f"mask {m.id!r}: cells must contain only 0 or 1")
-    n0, n1 = m.region_sizes()
-    if n0 == 0 or n1 == 0:
-        raise MaskError(f"mask {m.id!r}: empty region")
-    if m.shape_kind not in SHAPE_KINDS:
-        raise MaskError(f"mask {m.id!r}: unknown shape kind {m.shape_kind!r}")
-    if m.orientation not in ORIENTATIONS:
-        raise MaskError(f"mask {m.id!r}: orientation must be one of {ORIENTATIONS}")
-
-
-def region_connected(cells: np.ndarray, bit: int) -> bool:
-    """True if the cells holding `bit` form a single 4-connected component."""
-    want = cells == bit
-    total = int(np.count_nonzero(want))
-    if total == 0:
-        return False
-    start = tuple(np.argwhere(want)[0])
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        r, c = frontier.pop()
-        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if 0 <= nr < cells.shape[0] and 0 <= nc < cells.shape[1]:
-                if want[nr, nc] and (nr, nc) not in seen:
-                    seen.add((nr, nc))
-                    frontier.append((nr, nc))
-    return len(seen) == total
 
 
 def _triangular_base() -> np.ndarray:
@@ -114,10 +89,7 @@ def rotate90(m: Mask) -> Mask:
     """Rotate a mask 90 degrees clockwise, advancing its orientation tag."""
     cells = np.rot90(m.cells, -1)
     orientation = (m.orientation + 90) % 360
-    stem = m.id
-    suffix = f"-{m.orientation}"
-    if stem.endswith(suffix):
-        stem = stem[: -len(suffix)]
+    stem = m.id.removesuffix(f"-{m.orientation}")
     return Mask(cells, m.shape_kind, orientation, f"{stem}-{orientation}")
 
 

@@ -50,6 +50,8 @@ class NoiseSpec:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not 0.0 <= self.variance < math.inf:
             raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .filters import DEFAULT_ADAPTIVE_MODE, DEFAULT_KERNEL, STATISTICS, adaptive_filter, box_filter
+from .filters import ADAPTIVE_MODES, DEFAULT_ADAPTIVE_MODE, DEFAULT_KERNEL, STATISTICS, check_kernel
+from .filters import adaptive_filter, box_filter
 from .imgio import read_image, write_labelmap, write_pgm, write_raw
 from .masks import MaskSet, builtin_masks, load_masks
 from .metrics import psnr
@@ -33,7 +34,7 @@ from .noise import (
     NoiseSpec,
     apply_noise,
 )
-from .scan import DEFAULT_CRITERION, scan_parallel_fused, scan_square
+from .scan import CRITERIA, DEFAULT_CRITERION, scan_parallel_fused, scan_square
 
 CSV_HEADER = "image,noise,pipeline,statistic,kernel,psnr_db"
 PIPELINES = ("square", "variable", "adaptive")
@@ -55,6 +56,26 @@ class PipelineConfig:
     out_dir: Path | None = None
     dump_intermediates: bool = False
     raw_intermediates: bool = False
+
+    def __post_init__(self):
+        """Drop repeated values and reject bad settings before anything is read or written."""
+        self.noise_kinds = tuple(dict.fromkeys(self.noise_kinds))
+        self.kernels = tuple(dict.fromkeys(self.kernels))
+        self.statistics = tuple(dict.fromkeys(self.statistics))
+        for kind in self.noise_kinds:
+            self.noise_spec(kind)
+        for k in self.kernels:
+            check_kernel(k)
+        for stat in self.statistics:
+            if stat not in STATISTICS:
+                raise ValueError(f"unknown statistic {stat!r}")
+        if self.adaptive_mode not in ADAPTIVE_MODES:
+            raise ValueError(f"unknown adaptive mode {self.adaptive_mode!r}")
+        if self.criterion not in CRITERIA:
+            raise ValueError(f"unknown selection criterion {self.criterion!r}")
+
+    def noise_spec(self, kind: str) -> NoiseSpec:
+        return NoiseSpec(kind, density=self.density, sigma=self.sigma, variance=self.variance, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -114,9 +135,7 @@ def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet) -> lis
 
     rows = []
     for kind in cfg.noise_kinds:
-        spec = NoiseSpec(
-            kind, density=cfg.density, sigma=cfg.sigma, variance=cfg.variance, seed=cfg.seed
-        )
+        spec = cfg.noise_spec(kind)
         noisy = {
             "square": apply_noise(square, spec),
             "variable": apply_noise(variable, spec),
@@ -132,7 +151,7 @@ def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet) -> lis
                 }
                 for pipe in PIPELINES:
                     dump(f"{kind}_{pipe}_{stat}_k{k}", filtered[pipe])
-                    rows.append(PsnrRow(name, kind, pipe, stat, k, psnr(img, filtered[pipe]).psnr_db))
+                    rows.append(PsnrRow(name, kind, pipe, stat, k, psnr(img, filtered[pipe])))
     return rows
 
 
@@ -152,9 +171,6 @@ def run_pipeline(cfg: PipelineConfig) -> list[PsnrRow]:
         same = [str(q) for q in paths if q.stem == path.stem]
         if len(same) > 1:
             raise ValueError(f"inputs share the file stem {path.stem!r}: {', '.join(same)}")
-    for kind in cfg.noise_kinds:
-        if kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {kind!r}")
     maskset = load_mask_source(cfg.mask_path)
 
     if cfg.out_dir is not None:

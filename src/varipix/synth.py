@@ -3,9 +3,8 @@
 Deterministic fixtures so the benchmark pipeline runs without downloaded
 photographs. The five images in fixture_images() carry dense edge content
 at many orientations (curved, axis-aligned, oblique, radial), which is the
-regime the variable-pixel representation is built for; gradient/wedge are
-simpler shapes used by unit tests. All generators return float64 images
-with values in [0, 255].
+regime the variable-pixel representation is built for. All generators
+return float64 images with values in [0, 255].
 """
 
 from __future__ import annotations
@@ -13,26 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 FIXTURE_SIZE = 240  # multiple of the 6-pixel block
-
-
-def gradient(n: int = FIXTURE_SIZE) -> np.ndarray:
-    """Smooth diagonal ramp from 0 to 255."""
-    y, x = np.indices((n, n), dtype=np.float64)
-    return (x + y) * (255.0 / (2 * (n - 1)))
-
-
-def wedge(n: int = FIXTURE_SIZE, slope: float = 0.7, lo: float = 30.0, hi: float = 230.0) -> np.ndarray:
-    """Half-plane split along a single oblique edge."""
-    y, x = np.indices((n, n), dtype=np.float64)
-    return np.where(y > slope * x + 0.15 * n, hi, lo).astype(np.float64)
-
-
-def disk(n: int = FIXTURE_SIZE, radius: float = 0.35, bg: float = 40.0, fg: float = 220.0) -> np.ndarray:
-    """Single bright disk on a dark background."""
-    y, x = np.indices((n, n), dtype=np.float64)
-    c = (n - 1) / 2.0
-    inside = (x - c) ** 2 + (y - c) ** 2 <= (radius * n) ** 2
-    return np.where(inside, fg, bg).astype(np.float64)
 
 
 def checkerboard(n: int = FIXTURE_SIZE, cell: int = 9, lo: float = 60.0, hi: float = 200.0) -> np.ndarray:

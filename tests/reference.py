@@ -144,3 +144,24 @@ def loop_select_apply(block, maskset, criterion="recon-error"):
         if best_score is None or score < best_score:
             best_index, best_score, best_out = i, score, out
     return best_index, best_out
+
+
+def region_connected(cells: np.ndarray, bit: int) -> bool:
+    """True if the cells holding `bit` form a single 4-connected component."""
+    want = cells == bit
+    total = int(np.count_nonzero(want))
+    if total == 0:
+        return False
+    start = tuple(np.argwhere(want)[0])
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        r, c = frontier.pop()
+        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if 0 <= nr < cells.shape[0] and 0 <= nc < cells.shape[1]:
+                if want[nr, nc] and (nr, nc) not in seen:
+                    seen.add((nr, nc))
+                    frontier.append((nr, nc))
+    return len(seen) == total
+
+

@@ -182,6 +182,41 @@ def test_run_csv_row_count_and_determinism(runner, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_repeated_run_values_give_one_row_each(runner, tmp_path):
+    img = tmp_path / "d.pgm"
+    write_fixture(img)
+    once = ("--noise", "gaussian", "--kernel", 3, "--kernel", 5, "--statistic", "mean")
+    twice = (
+        "--noise", "gaussian", "--noise", "gaussian", "--kernel", 5, "--kernel", 3,
+        "--kernel", 5, "--statistic", "mean", "--statistic", "mean",
+    )
+    outs = []
+    for sub, flags in (("once", once), ("twice", twice)):
+        result = invoke(runner, "run", img, "--out-dir", tmp_path / sub, *flags)
+        assert result.exit_code == 0, result.output
+        outs.append((tmp_path / sub / "psnr.csv").read_bytes())
+    assert outs[0].decode().count("\n") == 1 + 3 * 2
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--density", 2), "density must be in [0, 1], got 2.0"),
+        (("--seed", -1), "seed must be an integer >= 0, got -1"),
+    ],
+    ids=["density", "seed"],
+)
+def test_bad_run_settings_exit_4_before_anything_is_written(runner, tmp_path, flags, message):
+    img = tmp_path / "d.pgm"
+    write_fixture(img)
+    out_dir = tmp_path / "out"
+    result = invoke(runner, "run", img, "--out-dir", out_dir, "--dump-intermediates", *flags)
+    assert result.exit_code == 4
+    assert message in result.output
+    assert not out_dir.exists()
+
+
 def test_run_expands_directories(runner, tmp_path):
     src = tmp_path / "imgs"
     src.mkdir()
@@ -234,6 +269,14 @@ def test_exit_code_2_for_inconsistent_flags(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert "--labels" in result.output
+    # square filtering reads no label map, so --labels is rejected before any read
+    result = invoke(
+        runner, "filter", img, "--out", tmp_path / "f.pgm", "--mode", "square",
+        "--labels", tmp_path / "absent.txt",
+    )
+    assert result.exit_code == 2
+    assert "--labels" in result.output
+    assert not (tmp_path / "f.pgm").exists()
     # --raw-intermediates alone would dump nothing
     result = invoke(runner, "run", img, "--out-dir", tmp_path / "out", "--raw-intermediates")
     assert result.exit_code == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -176,6 +177,9 @@ def test_noisespec_validation():
             NoiseSpec("gaussian", sigma=value)
         with pytest.raises(ValueError, match="variance"):
             NoiseSpec("speckle", variance=value)
+    for seed in (-1, 1.5, "7", None):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
+            NoiseSpec("gaussian", seed=seed)
 
 
 def test_noisespec_defaults():

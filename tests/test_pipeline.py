@@ -86,7 +86,7 @@ def test_scan_variants_differ_on_structured_image(masks):
     square, variable = scan_square(img), scan_parallel_fused(img, masks).image
     assert not np.array_equal(square, variable)
     # variable recon must be at least as close to the original overall
-    assert psnr(img, variable).psnr_db >= psnr(img, square).psnr_db
+    assert psnr(img, variable) >= psnr(img, square)
 
 
 def test_evaluate_image_row_count_and_names(masks):
@@ -120,10 +120,10 @@ def test_evaluate_image_matches_direct_stage_composition(masks):
     noisy_square = apply_noise(square, spec)
     noisy_variable = apply_noise(variable, spec)
     for stat in ("mean", "median"):
-        assert rows[("square", stat)] == psnr(img, box_filter(noisy_square, 3, stat)).psnr_db
-        assert rows[("variable", stat)] == psnr(img, box_filter(noisy_variable, 3, stat)).psnr_db
+        assert rows[("square", stat)] == psnr(img, box_filter(noisy_square, 3, stat))
+        assert rows[("variable", stat)] == psnr(img, box_filter(noisy_variable, 3, stat))
         want = adaptive_filter(noisy_variable, labels, 3, stat, "literal")
-        assert rows[("adaptive", stat)] == psnr(img, want).psnr_db
+        assert rows[("adaptive", stat)] == psnr(img, want)
 
 
 def test_run_pipeline_writes_sorted_csv(masks, tmp_path):
@@ -194,6 +194,34 @@ def test_run_pipeline_rejects_unknown_noise(tmp_path):
     write_pgm(small_fixture(), path)
     with pytest.raises(ValueError, match="unknown noise kind"):
         run_pipeline(PipelineConfig(inputs=(path,), noise_kinds=("shot",)))
+
+
+@pytest.mark.parametrize(
+    "setting, match",
+    [
+        ({"density": 2.0}, "density"),
+        ({"sigma": -1.0}, "sigma"),
+        ({"variance": math.nan}, "variance"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+        ({"kernels": (3, 4)}, "kernel size"),
+        ({"statistics": ("mean", "mode")}, "unknown statistic 'mode'"),
+        ({"adaptive_mode": "blob"}, "unknown adaptive mode 'blob'"),
+        ({"criterion": "best"}, "unknown selection criterion 'best'"),
+    ],
+    ids=[
+        "density", "sigma", "variance", "negative-seed", "float-seed",
+        "kernel", "statistic", "adaptive-mode", "criterion",
+    ],
+)
+def test_bad_settings_are_rejected_before_anything_is_written(tmp_path, setting, match):
+    path = tmp_path / "d.pgm"
+    write_pgm(small_fixture(), path)
+    out_dir = tmp_path / "out"
+    with pytest.raises(ValueError, match=match):
+        cfg = PipelineConfig(inputs=(path,), out_dir=out_dir, dump_intermediates=True, **setting)
+        run_pipeline(cfg)
+    assert not out_dir.exists()
 
 
 def test_dumped_raw_intermediates_match_stage_values(masks, tmp_path):

@@ -7,14 +7,11 @@ import numpy as np
 from varipix.synth import (
     FIXTURE_SIZE,
     checkerboard,
-    disk,
     disks,
     fixture_images,
-    gradient,
     pinwheel,
     rings,
     sawtooth,
-    wedge,
 )
 
 
@@ -45,15 +42,8 @@ def test_fixtures_are_not_flat():
         assert img.std() > 10.0, name
 
 
-def test_gradient_corners():
-    img = gradient(100)
-    assert img[0, 0] == 0.0
-    assert img[99, 99] == 255.0
-    assert img[0, 99] == img[99, 0]
-
-
 def test_two_level_generators():
-    for img in (wedge(60), disk(60), checkerboard(60), rings(60), disks(60), pinwheel(60)):
+    for img in (checkerboard(60), rings(60), disks(60), pinwheel(60)):
         assert len(np.unique(img)) == 2
 
 
@@ -66,5 +56,4 @@ def test_sawtooth_period():
 
 
 def test_custom_sizes():
-    assert gradient(30).shape == (30, 30)
     assert disks(48).shape == (48, 48)
