@@ -4,7 +4,7 @@
 Generates the five fixture images, runs the square / variable / adaptive
 pipelines under all three noise models at several kernel sizes, writes
 psnr.csv plus the fixture PGMs into the output directory, and prints two
-summaries: the PSNR ordering at the default kernel and the growth of the
+summaries: the PSNR ordering at the middle kernel size and the growth of the
 adaptive-vs-variable gap with kernel size.
 
     python3 scripts/run_experiment.py --out-dir results
@@ -17,7 +17,7 @@ import argparse
 from pathlib import Path
 
 from varipix import PipelineConfig, run_pipeline, write_pgm
-from varipix.filters import ADAPTIVE_MODES, DEFAULT_ADAPTIVE_MODE, STATISTICS
+from varipix.filters import ADAPTIVE_MODES, DEFAULT_ADAPTIVE_MODE
 from varipix.noise import DEFAULT_SEED, NOISE_KINDS
 from varipix.pipeline import PIPELINES
 from varipix.scan import CRITERIA, DEFAULT_CRITERION
@@ -62,7 +62,6 @@ def main() -> None:
         criterion=args.criterion,
         seed=args.seed,
         kernels=tuple(args.kernels),
-        statistics=STATISTICS,
         adaptive_mode=args.adaptive_mode,
         out_dir=args.out_dir,
     )
@@ -70,8 +69,8 @@ def main() -> None:
     print(f"wrote {len(rows)} rows to {args.out_dir / 'psnr.csv'}\n")
 
     table = {(r.image, r.noise, r.pipeline, r.statistic, r.kernel): r.psnr_db for r in rows}
-    images = sorted({r.image for r in rows})
-    mid_k = args.kernels[len(args.kernels) // 2]
+    images = [path.stem for path in cfg.inputs]
+    mid_k = cfg.kernels[len(cfg.kernels) // 2]
 
     print(f"PSNR (dB) at k={mid_k}, mean statistic")
     print(f"{'image':<14} {'noise':<12} {'square':>9} {'variable':>9} {'adaptive':>9}")
@@ -81,7 +80,7 @@ def main() -> None:
             marker = "" if vals[2] > vals[1] > vals[0] else "  (ordering broken)"
             print(f"{name:<14} {kind:<12} " + " ".join(f"{v:9.2f}" for v in vals) + marker)
 
-    lo_k, hi_k = min(args.kernels), max(args.kernels)
+    lo_k, hi_k = cfg.kernels[0], cfg.kernels[-1]
     if lo_k != hi_k:
         print(f"\nadaptive - variable PSNR gap (dB), mean statistic")
         print(f"{'image':<14} {'noise':<12} {'k=' + str(lo_k):>9} {'k=' + str(hi_k):>9}")

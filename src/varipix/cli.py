@@ -11,7 +11,6 @@ failed validation.
 
 from __future__ import annotations
 
-import functools
 import sys
 from pathlib import Path
 
@@ -45,21 +44,18 @@ from .pipeline import PipelineConfig, format_db, load_mask_source, run_pipeline,
 from .scan import CRITERIA, DEFAULT_CRITERION, scan_parallel_fused, scan_square
 
 
-def cli_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
+class ExitCodeGroup(click.Group):
+    """Maps library errors to exit codes once, for every subcommand."""
+
+    def invoke(self, ctx):
         try:
-            return f(*args, **kwargs)
-        except click.ClickException:
-            raise
+            return super().invoke(ctx)
         except OSError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
         except (MaskError, ImageFormatError, ValueError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(4)
-
-    return wrapper
 
 
 def _odd_kernel(ctx, param, value):
@@ -72,14 +68,13 @@ def _odd_kernel(ctx, param, value):
     return value
 
 
-@click.group()
+@click.group(cls=ExitCodeGroup)
 def main():
     """Variable-pixel image scanning, noising, filtering and PSNR tables."""
 
 
 @main.command("masks")
 @click.option("--out", type=click.Path(path_type=Path), default=None, help="Write to a file instead of stdout.")
-@cli_errors
 def masks_cmd(out):
     """Dump the built-in eight-mask set in the mask text format."""
     masks = builtin_masks()
@@ -97,7 +92,6 @@ def masks_cmd(out):
 @click.option("--masks", "mask_path", type=click.Path(path_type=Path), default=None, help="Mask set file (default: builtin).")
 @click.option("--criterion", type=click.Choice(CRITERIA), default=DEFAULT_CRITERION, show_default=True)
 @click.option("--raw", is_flag=True, help="Write the lossless raw dump instead of PGM.")
-@cli_errors
 def scan_cmd(input, out, labels, layout, mask_path, criterion, raw):
     """Form the square or variable-pixel representation of an image."""
     if labels is not None and layout == "square":
@@ -121,7 +115,6 @@ def scan_cmd(input, out, labels, layout, mask_path, criterion, raw):
 @click.option("--variance", type=float, default=DEFAULT_VARIANCE, show_default=True, help="speckle multiplicative variance.")
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--raw", is_flag=True)
-@cli_errors
 def noise_cmd(input, out, kind, density, sigma, variance, seed, raw):
     """Inject a seeded noise model into an image."""
     img = read_image(input)
@@ -137,7 +130,6 @@ def noise_cmd(input, out, kind, density, sigma, variance, seed, raw):
 @click.option("--mode", type=click.Choice(FILTER_MODES), default=DEFAULT_FILTER_MODE, show_default=True)
 @click.option("--labels", type=click.Path(path_type=Path), default=None, help="Label map (adaptive modes).")
 @click.option("--raw", is_flag=True)
-@cli_errors
 def filter_cmd(input, out, kernel, statistic, mode, labels, raw):
     """Box-filter an image, or adaptively filter it along its label map."""
     if labels is not None and mode == "square":
@@ -156,7 +148,6 @@ def filter_cmd(input, out, kernel, statistic, mode, labels, raw):
 @main.command("psnr")
 @click.argument("reference", type=click.Path(path_type=Path))
 @click.argument("test", type=click.Path(path_type=Path))
-@cli_errors
 def psnr_cmd(reference, test):
     """Print the PSNR (dB) between two images; 'inf' for identical images."""
     click.echo(format_db(psnr(read_image(reference), read_image(test))))
@@ -177,7 +168,6 @@ def psnr_cmd(reference, test):
 @click.option("--adaptive-mode", type=click.Choice(ADAPTIVE_MODES), default=DEFAULT_ADAPTIVE_MODE, show_default=True)
 @click.option("--dump-intermediates", is_flag=True, help="Write scanned/noisy/filtered images and label maps.")
 @click.option("--raw-intermediates", is_flag=True, help="Dump intermediates as lossless raw dumps.")
-@cli_errors
 def run_cmd(inputs, **options):
     """Run the full benchmark and write psnr.csv into the output directory."""
     # every option is the PipelineConfig field of the same name

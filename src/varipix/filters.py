@@ -57,7 +57,7 @@ _MEAN_BAND_PIXELS = 65536
 
 def check_kernel(k) -> None:
     """Reject kernel sizes other than odd integers >= 1."""
-    if not isinstance(k, (int, np.integer)) or k < 1 or k % 2 == 0:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1 or k % 2 == 0:
         raise ValueError(f"kernel size must be an odd integer >= 1, got {k!r}")
 
 

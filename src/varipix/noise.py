@@ -50,7 +50,7 @@ class NoiseSpec:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not 0.0 <= self.variance < math.inf:
             raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 

@@ -8,10 +8,11 @@ rows for three variants, each with the requested kernels and statistics:
 * adaptive: fused variable-pixel scan, shape-adaptive filter on its labels
 
 PSNR is always measured against the original clean image; the scans return
-images of the input's shape whatever its size. Rows come out sorted by
-image, noise, pipeline (square, variable, adaptive), statistic, kernel.
-Flagged intermediates are dumped through `write_image`, the writer the
-stage commands use too.
+images of the input's shape whatever its size. Rows are produced in
+`psnr.csv` order, image, noise, pipeline (square, variable, adaptive),
+statistic, kernel, the order `PipelineConfig` stores its values in; they
+are not sorted afterwards. Flagged intermediates are dumped through
+`write_image`, the writer the stage commands use too.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ CSV_HEADER = "image,noise,pipeline,statistic,kernel,psnr_db"
 PIPELINES = ("square", "variable", "adaptive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     inputs: tuple[Path, ...]
     mask_path: Path | None = None  # None selects the builtin eight-mask set
@@ -58,10 +59,7 @@ class PipelineConfig:
     raw_intermediates: bool = False
 
     def __post_init__(self):
-        """Drop repeated values and reject bad settings before anything is read or written."""
-        self.noise_kinds = tuple(dict.fromkeys(self.noise_kinds))
-        self.kernels = tuple(dict.fromkeys(self.kernels))
-        self.statistics = tuple(dict.fromkeys(self.statistics))
+        """Reject bad settings before any I/O, then store each value once, in row order."""
         for kind in self.noise_kinds:
             self.noise_spec(kind)
         for k in self.kernels:
@@ -73,6 +71,19 @@ class PipelineConfig:
             raise ValueError(f"unknown adaptive mode {self.adaptive_mode!r}")
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown selection criterion {self.criterion!r}")
+        if self.raw_intermediates and not self.dump_intermediates:
+            raise ValueError("raw_intermediates requires dump_intermediates")
+        if self.dump_intermediates and self.out_dir is None:
+            raise ValueError("dump_intermediates requires out_dir")
+        inputs = sorted(map(Path, self.inputs), key=lambda p: (p.stem, p))
+        for path in inputs:  # rows and dumps are named by stem, so stems must be unique
+            same = [str(q) for q in inputs if q.stem == path.stem]
+            if len(same) > 1:
+                raise ValueError(f"inputs share the file stem {path.stem!r}: {', '.join(same)}")
+        object.__setattr__(self, "inputs", tuple(inputs))
+        object.__setattr__(self, "noise_kinds", tuple(n for n in NOISE_KINDS if n in self.noise_kinds))
+        object.__setattr__(self, "statistics", tuple(s for s in STATISTICS if s in self.statistics))
+        object.__setattr__(self, "kernels", tuple(sorted(set(self.kernels))))
 
     def noise_spec(self, kind: str) -> NoiseSpec:
         return NoiseSpec(kind, density=self.density, sigma=self.sigma, variance=self.variance, seed=self.seed)
@@ -86,15 +97,6 @@ class PsnrRow:
     statistic: str
     kernel: int
     psnr_db: float
-
-    def key(self):
-        return (
-            self.image,
-            NOISE_KINDS.index(self.noise),
-            PIPELINES.index(self.pipeline),
-            STATISTICS.index(self.statistic),
-            self.kernel,
-        )
 
 
 def format_db(value: float) -> str:
@@ -117,8 +119,8 @@ def write_image(img, path, raw: bool) -> None:
 
 
 def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet) -> list[PsnrRow]:
-    """All PSNR rows for one clean image under one configuration."""
-    dump_dir = Path(cfg.out_dir) if cfg.dump_intermediates and cfg.out_dir is not None else None
+    """All PSNR rows for one clean image under one configuration, in `psnr.csv` order."""
+    dump_dir = Path(cfg.out_dir) if cfg.dump_intermediates else None
     suffix = ".rawimg" if cfg.raw_intermediates else ".pgm"
 
     def dump(stem: str, image) -> None:
@@ -136,22 +138,19 @@ def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet) -> lis
     rows = []
     for kind in cfg.noise_kinds:
         spec = cfg.noise_spec(kind)
-        noisy = {
-            "square": apply_noise(square, spec),
-            "variable": apply_noise(variable, spec),
-        }
-        dump(f"{kind}_square_noisy", noisy["square"])
-        dump(f"{kind}_variable_noisy", noisy["variable"])
-        for k in cfg.kernels:
+        noisy_square, noisy_variable = apply_noise(square, spec), apply_noise(variable, spec)
+        dump(f"{kind}_square_noisy", noisy_square)
+        dump(f"{kind}_variable_noisy", noisy_variable)
+        for pipe in PIPELINES:
+            noisy = noisy_square if pipe == "square" else noisy_variable
             for stat in cfg.statistics:
-                filtered = {
-                    "square": box_filter(noisy["square"], k, stat),
-                    "variable": box_filter(noisy["variable"], k, stat),
-                    "adaptive": adaptive_filter(noisy["variable"], labels, k, stat, cfg.adaptive_mode),
-                }
-                for pipe in PIPELINES:
-                    dump(f"{kind}_{pipe}_{stat}_k{k}", filtered[pipe])
-                    rows.append(PsnrRow(name, kind, pipe, stat, k, psnr(img, filtered[pipe])))
+                for k in cfg.kernels:
+                    if pipe == "adaptive":
+                        filtered = adaptive_filter(noisy, labels, k, stat, cfg.adaptive_mode)
+                    else:
+                        filtered = box_filter(noisy, k, stat)
+                    dump(f"{kind}_{pipe}_{stat}_k{k}", filtered)
+                    rows.append(PsnrRow(name, kind, pipe, stat, k, psnr(img, filtered)))
     return rows
 
 
@@ -160,27 +159,22 @@ def load_mask_source(mask_path) -> MaskSet:
 
 
 def run_pipeline(cfg: PipelineConfig) -> list[PsnrRow]:
-    """Run the benchmark over all configured inputs; returns sorted rows.
+    """Run the benchmark over all configured inputs; returns the rows in `psnr.csv` order.
 
     Writes `psnr.csv` (plus flagged intermediates) into cfg.out_dir when set.
     """
     if not cfg.inputs:
         raise ValueError("at least one input image is required")
-    paths = sorted(Path(p) for p in cfg.inputs)
-    for path in paths:  # rows and dumps are named by stem, so stems must be unique
-        same = [str(q) for q in paths if q.stem == path.stem]
-        if len(same) > 1:
-            raise ValueError(f"inputs share the file stem {path.stem!r}: {', '.join(same)}")
+    for path in cfg.inputs:  # a missing or unreadable input fails before out_dir is made
+        path.open("rb").close()
     maskset = load_mask_source(cfg.mask_path)
 
     if cfg.out_dir is not None:
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for path in paths:
-        img = read_image(path)
-        rows.extend(evaluate_image(path.stem, img, cfg, maskset))
-    rows.sort(key=PsnrRow.key)
+    for path in cfg.inputs:
+        rows.extend(evaluate_image(path.stem, read_image(path), cfg, maskset))
 
     if cfg.out_dir is not None:
         (Path(cfg.out_dir) / "psnr.csv").write_text(rows_to_csv(rows))

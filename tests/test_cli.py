@@ -55,6 +55,14 @@ def write_fixture(path):
     write_pgm(disks(36), path)
 
 
+def experiment_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"
+    spec = importlib.util.spec_from_file_location("run_experiment", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_masks_stdout_parses(runner, tmp_path, masks):
     result = invoke(runner, "masks")
     assert result.exit_code == 0
@@ -292,6 +300,19 @@ def test_exit_code_3_for_missing_input(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_exit_code_3_for_missing_later_run_input_before_anything_is_written(runner, tmp_path):
+    img = tmp_path / "a.pgm"
+    write_fixture(img)
+    out_dir = tmp_path / "o"
+    result = invoke(
+        runner, "run", img, tmp_path / "z_missing.pgm", "--out-dir", out_dir,
+        "--dump-intermediates", "--kernel", "3",
+    )
+    assert result.exit_code == 3
+    assert "error:" in result.output and "z_missing.pgm" in result.output
+    assert not out_dir.exists()
+
+
 def test_exit_code_4_for_malformed_image(runner, tmp_path):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
@@ -405,13 +426,22 @@ def test_retyped_defaults_read_one_constant(monkeypatch, tmp_path):
     assert inspect.signature(adaptive_filter).parameters["mode"].default == DEFAULT_ADAPTIVE_MODE
     for fn in (box_filter, adaptive_filter):
         assert inspect.signature(fn).parameters["statistic"].default == DEFAULT_STATISTIC
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"
-    spec = importlib.util.spec_from_file_location("run_experiment", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
     monkeypatch.setattr("sys.argv", ["run_experiment.py", "--out-dir", str(tmp_path)])
-    args = script.parse_args()
+    args = experiment_script().parse_args()
     assert (args.criterion, args.adaptive_mode) == (DEFAULT_CRITERION, DEFAULT_ADAPTIVE_MODE)
+
+
+def test_experiment_tables_use_the_middle_kernel_size_whatever_the_flag_order(monkeypatch, capsys, tmp_path):
+    images = tmp_path / "images"
+    images.mkdir()
+    write_fixture(images / "a.pgm")
+    write_pgm(255.0 - disks(36), images / "b.pgm")
+    argv = ["run_experiment.py", "--out-dir", str(tmp_path / "out"), "--images", str(images), "--kernels", "7", "3", "5"]
+    monkeypatch.setattr("sys.argv", argv)
+    experiment_script().main()
+    out = capsys.readouterr().out
+    assert "PSNR (dB) at k=5, mean statistic" in out
+    assert f"{'k=3':>9} {'k=7':>9}" in out
 
 
 def test_run_options_are_the_pipeline_config_fields():

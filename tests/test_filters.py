@@ -72,7 +72,7 @@ def test_box_edge_replication(rng):
 
 def test_kernel_validation():
     img = np.zeros((4, 4))
-    for bad in (0, -3, 2, 4, 3.0, "3"):
+    for bad in (0, -3, 2, 4, 3.0, "3", True):
         with pytest.raises(ValueError, match="odd integer"):
             box_filter(img, bad)
     with pytest.raises(ValueError, match="odd integer"):

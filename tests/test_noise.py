@@ -177,7 +177,7 @@ def test_noisespec_validation():
             NoiseSpec("gaussian", sigma=value)
         with pytest.raises(ValueError, match="variance"):
             NoiseSpec("speckle", variance=value)
-    for seed in (-1, 1.5, "7", None):
+    for seed in (-1, 1.5, "7", None, True, False):
         with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
             NoiseSpec("gaussian", seed=seed)
 

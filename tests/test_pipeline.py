@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +25,9 @@ from varipix import (
     scan_square,
     write_pgm,
 )
-from varipix.pipeline import CSV_HEADER, format_db, rows_to_csv
+from varipix.filters import STATISTICS
+from varipix.noise import NOISE_KINDS
+from varipix.pipeline import CSV_HEADER, PIPELINES, format_db, rows_to_csv
 from varipix.synth import disks
 
 from .conftest import random_image
@@ -48,28 +52,45 @@ def test_rows_to_csv_header_and_layout():
     assert text.endswith("\n")
 
 
-def test_row_sort_key_orders_canonically():
-    rows = [
-        PsnrRow("b", "salt_pepper", "square", "mean", 3, 1.0),
-        PsnrRow("a", "speckle", "adaptive", "median", 7, 1.0),
-        PsnrRow("a", "gaussian", "adaptive", "mean", 5, 1.0),
-        PsnrRow("a", "gaussian", "variable", "mean", 5, 1.0),
-        PsnrRow("a", "gaussian", "square", "median", 5, 1.0),
-        PsnrRow("a", "gaussian", "square", "mean", 7, 1.0),
-        PsnrRow("a", "gaussian", "square", "mean", 3, 1.0),
-        PsnrRow("a", "salt_pepper", "square", "mean", 3, 1.0),
-    ]
-    ordered = sorted(rows, key=PsnrRow.key)
-    assert [(r.image, r.noise, r.pipeline, r.statistic, r.kernel) for r in ordered] == [
-        ("a", "salt_pepper", "square", "mean", 3),
-        ("a", "gaussian", "square", "mean", 3),
-        ("a", "gaussian", "square", "mean", 7),
-        ("a", "gaussian", "square", "median", 5),
-        ("a", "gaussian", "variable", "mean", 5),
-        ("a", "gaussian", "adaptive", "mean", 5),
-        ("a", "speckle", "adaptive", "median", 7),
-        ("b", "salt_pepper", "square", "mean", 3),
-    ]
+def test_run_pipeline_produces_rows_in_canonical_order(tmp_path):
+    a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
+    write_pgm(small_fixture(), a)
+    write_pgm(255.0 - small_fixture(), b)
+    rows = run_pipeline(PipelineConfig(
+        inputs=(b, a),
+        noise_kinds=("speckle", "salt_pepper", "gaussian"),
+        kernels=(7, 3, 5, 3),
+        statistics=("median", "mean"),
+        out_dir=tmp_path / "shuffled",
+    ))
+    assert [(r.image, r.noise, r.pipeline, r.statistic, r.kernel) for r in rows] == list(
+        itertools.product(("a", "b"), NOISE_KINDS, PIPELINES, STATISTICS, (3, 5, 7))
+    )
+    run_pipeline(PipelineConfig(
+        inputs=(a, b),
+        noise_kinds=NOISE_KINDS,
+        kernels=(3, 5, 7),
+        statistics=STATISTICS,
+        out_dir=tmp_path / "canonical",
+    ))
+    shuffled = (tmp_path / "shuffled" / "psnr.csv").read_bytes()
+    assert shuffled == (tmp_path / "canonical" / "psnr.csv").read_bytes()
+
+
+def test_pipeline_config_is_frozen_and_stores_row_order(tmp_path):
+    cfg = PipelineConfig(
+        inputs=(str(tmp_path / "a" / "z.pgm"), tmp_path / "b" / "a.pgm"),
+        noise_kinds=("speckle", "gaussian", "speckle"),
+        kernels=(5, 1, 5, 3),
+        statistics=("median", "mean"),
+    )
+    assert cfg.inputs == (tmp_path / "b" / "a.pgm", tmp_path / "a" / "z.pgm")
+    assert cfg.noise_kinds == ("gaussian", "speckle")
+    assert cfg.kernels == (1, 3, 5)
+    assert cfg.statistics == ("mean", "median")
+    for field in dataclasses.fields(PipelineConfig):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field.name, getattr(cfg, field.name))
 
 
 def test_scan_variants_crops_to_input_shape(masks, rng):
@@ -140,8 +161,10 @@ def test_run_pipeline_writes_sorted_csv(masks, tmp_path):
         out_dir=out_dir,
     )
     rows = run_pipeline(cfg)
-    assert [r.key() for r in rows] == sorted(r.key() for r in rows)
-    assert [r.image for r in rows] == ["aaa"] * 3 + ["bbb"] * 3
+    assert [(r.image, r.pipeline) for r in rows] == [
+        ("aaa", "square"), ("aaa", "variable"), ("aaa", "adaptive"),
+        ("bbb", "square"), ("bbb", "variable"), ("bbb", "adaptive"),
+    ]
     csv_path = out_dir / "psnr.csv"
     assert csv_path.read_text() == rows_to_csv(rows)
 
@@ -204,14 +227,20 @@ def test_run_pipeline_rejects_unknown_noise(tmp_path):
         ({"variance": math.nan}, "variance"),
         ({"seed": -1}, "seed must be an integer >= 0, got -1"),
         ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+        ({"seed": True}, "seed must be an integer >= 0, got True"),
         ({"kernels": (3, 4)}, "kernel size"),
+        ({"kernels": (True,)}, "kernel size must be an odd integer >= 1, got True"),
         ({"statistics": ("mean", "mode")}, "unknown statistic 'mode'"),
         ({"adaptive_mode": "blob"}, "unknown adaptive mode 'blob'"),
         ({"criterion": "best"}, "unknown selection criterion 'best'"),
+        ({"out_dir": None}, "dump_intermediates requires out_dir"),
+        ({"out_dir": None, "raw_intermediates": True}, "dump_intermediates requires out_dir"),
+        ({"dump_intermediates": False, "raw_intermediates": True}, "raw_intermediates requires dump_intermediates"),
     ],
     ids=[
-        "density", "sigma", "variance", "negative-seed", "float-seed",
-        "kernel", "statistic", "adaptive-mode", "criterion",
+        "density", "sigma", "variance", "negative-seed", "float-seed", "bool-seed",
+        "kernel", "bool-kernel", "statistic", "adaptive-mode", "criterion",
+        "dump-without-out-dir", "raw-dump-without-out-dir", "raw-without-dump",
     ],
 )
 def test_bad_settings_are_rejected_before_anything_is_written(tmp_path, setting, match):
@@ -219,7 +248,19 @@ def test_bad_settings_are_rejected_before_anything_is_written(tmp_path, setting,
     write_pgm(small_fixture(), path)
     out_dir = tmp_path / "out"
     with pytest.raises(ValueError, match=match):
-        cfg = PipelineConfig(inputs=(path,), out_dir=out_dir, dump_intermediates=True, **setting)
+        cfg = PipelineConfig(**{"inputs": (path,), "out_dir": out_dir, "dump_intermediates": True, **setting})
+        run_pipeline(cfg)
+    assert not out_dir.exists()
+
+
+def test_missing_later_input_is_found_before_anything_is_written(tmp_path):
+    path = tmp_path / "a.pgm"
+    write_pgm(small_fixture(), path)
+    out_dir = tmp_path / "o"
+    cfg = PipelineConfig(
+        inputs=(path, tmp_path / "z_missing.pgm"), kernels=(3,), out_dir=out_dir, dump_intermediates=True
+    )
+    with pytest.raises(FileNotFoundError):
         run_pipeline(cfg)
     assert not out_dir.exists()
 
