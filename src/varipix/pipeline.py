@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .filters import ADAPTIVE_MODES, DEFAULT_ADAPTIVE_MODE, DEFAULT_KERNEL, STATISTICS, check_kernel
 from .filters import adaptive_filter, box_filter
-from .imgio import read_image, write_labelmap, write_pgm, write_raw
+from .imgio import read_image, read_image_header, write_labelmap, write_pgm, write_raw
 from .masks import MaskSet, builtin_masks, load_masks
 from .metrics import psnr
 from .noise import (
@@ -165,8 +165,8 @@ def run_pipeline(cfg: PipelineConfig) -> list[PsnrRow]:
     """
     if not cfg.inputs:
         raise ValueError("at least one input image is required")
-    for path in cfg.inputs:  # a missing or unreadable input fails before out_dir is made
-        path.open("rb").close()
+    for path in cfg.inputs:  # a missing, unreadable or malformed input fails before out_dir is made
+        read_image_header(path)
     maskset = load_mask_source(cfg.mask_path)
 
     if cfg.out_dir is not None:

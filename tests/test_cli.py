@@ -313,6 +313,18 @@ def test_exit_code_3_for_missing_later_run_input_before_anything_is_written(runn
     assert not out_dir.exists()
 
 
+def test_exit_code_4_for_malformed_later_run_input_before_anything_is_written(runner, tmp_path):
+    img = tmp_path / "a.pgm"
+    write_fixture(img)
+    bad = tmp_path / "z_bad.pgm"
+    bad.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
+    out_dir = tmp_path / "o"
+    result = invoke(runner, "run", img, bad, "--out-dir", out_dir, "--dump-intermediates", "--kernel", "3")
+    assert result.exit_code == 4
+    assert "error:" in result.output and "z_bad.pgm" in result.output
+    assert not out_dir.exists()
+
+
 def test_exit_code_4_for_malformed_image(runner, tmp_path):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"P6\n2 2\n255\n" + bytes(12))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from varipix import (
+    PipelineConfig,
     adaptive_filter,
     NoiseSpec,
     apply_noise,
@@ -20,13 +21,15 @@ from varipix import (
     read_labelmap,
     read_pgm,
     read_raw,
+    run_pipeline,
     scan_parallel_fused,
     scan_square,
     write_labelmap,
     write_pgm,
     write_raw,
 )
-from varipix.imgio import ImageFormatError, as_image, as_labels, quantize
+from varipix.imgio import _CHUNK, ImageFormatError, as_image, as_labels, quantize, read_image_header
+from varipix.synth import fixture_images
 
 
 def test_read_ascii_pgm_exact_values(tmp_path):
@@ -378,3 +381,123 @@ def test_raw_round_trip_property(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("raw") / "t.rawimg"
     write_raw(data, path)
     assert np.array_equal(read_raw(path), data)
+
+
+def repr_dump(img) -> bytes:
+    """The raw-dump bytes with one repr call per sample: the reference the writer must match."""
+    h, w = img.shape
+    rows = (" ".join(repr(v) for v in row) + "\n" for row in img.tolist())
+    return (f"rawgray {w} {h}\n" + "".join(rows)).encode("ascii")
+
+
+def assert_dump_matches_repr(img, path):
+    write_raw(img, path)
+    assert path.read_bytes() == repr_dump(img)
+
+
+def test_raw_dumps_of_a_dump_roundtrip_run_match_repr(tmp_path):
+    # one disks run, three noises, k 3/5/7, mean, block mode: 35 dumped images
+    src = tmp_path / "disks.pgm"
+    write_pgm(fixture_images()["disks"], src)
+    out_dir = tmp_path / "out"
+    cfg = PipelineConfig(
+        inputs=(src,), kernels=(3, 5, 7), statistics=("mean",), adaptive_mode="block",
+        out_dir=out_dir, dump_intermediates=True, raw_intermediates=True,
+    )
+    run_pipeline(cfg)
+    dumps = sorted(out_dir.glob("*.rawimg"))
+    assert len(dumps) == 35
+    for path in dumps:
+        assert path.read_bytes() == repr_dump(read_raw(path)), path.name
+
+
+def edges(*values):
+    """Each value, its nextafter neighbours, and their negations."""
+    out = []
+    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf, dropped later
+        for v in values:
+            out += [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+    return out + [-v for v in out]
+
+
+RAW_EDGE_CASES = {
+    "zeros": [0.0, -0.0],
+    "subnormals": edges(5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308),
+    "powers_of_two": edges(*(2.0**e for e in range(-1074, 1024, 7)), 0.5, 0.25, 2.0**-10, 2.0**31, 2.0**52),
+    "layout_boundaries": edges(1e-4, 1e-5, 1e16, 1e15, 9.999999999999999e15),
+    "fast_domain_edges": edges(1e-3, 2.0**31, 2.0**52, 2.0**53, 255.0, 127.5, 1.0),
+    "extremes": edges(1.7976931348623157e308, 1e300, 1e-300),
+    # x * 10**k exactly halfway between two candidates: repr rounds half to even
+    "rounding_ties": edges(1 + 2**-17, 1 + 3 * 2**-17, 200 + 2**-15, 200 + 5 * 2**-15),
+    "short_decimals": edges(0.1, 0.3, 0.1 + 0.2, 2 / 3, 85.25, 1e-3 * 7, 123456.789, 2.0**31 - 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAW_EDGE_CASES))
+def test_raw_writer_matches_repr_on_edge_cases(tmp_path, case):
+    values = np.array([v for v in RAW_EDGE_CASES[case] if np.isfinite(v)], dtype=np.float64)
+    assert_dump_matches_repr(values.reshape(1, -1), tmp_path / "row.rawimg")
+    assert_dump_matches_repr(values.reshape(-1, 1), tmp_path / "column.rawimg")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(np.uint64, st.tuples(st.integers(1, 5), st.integers(1, 60)), elements=st.integers(0, 2**64 - 1))
+)
+def test_raw_writer_matches_repr_on_any_finite_double(tmp_path_factory, bits):
+    img = bits.view(np.float64)
+    img = np.where(np.isfinite(img), img, 1.0)
+    assert_dump_matches_repr(img, tmp_path_factory.mktemp("raw") / "t.rawimg")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 5), st.integers(1, 60)),
+        elements=st.one_of(
+            st.floats(-300.0, 300.0, allow_nan=False),
+            st.integers(-(2**53), 2**53).map(float),
+            st.integers(-255 * 64, 255 * 64).map(lambda i: i / 64.0),
+            st.floats(1e-5, 1e-2).map(lambda v: round(v, 6)),
+        ),
+    )
+)
+def test_raw_writer_matches_repr_on_image_like_values(tmp_path_factory, img):
+    # short decimals, dyadic fractions and integers take the fast path's shortcuts
+    assert_dump_matches_repr(img, tmp_path_factory.mktemp("raw") / "t.rawimg")
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1, _CHUNK + 1), (_CHUNK + 1, 1), (7, 1000), (1, _CHUNK - 1), (_CHUNK, 1), (3, 2 * _CHUNK // 3 + 1)],
+)
+def test_raw_writer_matches_repr_across_row_and_chunk_ends(tmp_path, rng, shape):
+    img = np.clip(rng.normal(128.0, 40.0, shape), 0.0, 255.0)
+    flat = img.reshape(-1)
+    flat[:: 97] = np.round(flat[:: 97])  # integral
+    flat[5 :: 211] = 2.0**-20  # repr-written, so spliced in
+    flat[_CHUNK - 1 :: _CHUNK] = -1e-7  # repr-written, at the end of each chunk
+    assert_dump_matches_repr(img, tmp_path / "t.rawimg")
+
+
+def test_header_check_reads_no_samples_and_shares_the_readers_messages(tmp_path):
+    path = tmp_path / "a.pgm"
+    path.write_bytes(b"P5 # size next\n3\t2\n7\n" + bytes(2))  # truncated raster
+    assert read_image_header(path) == ("P5", 3, 2, 7)
+    with pytest.raises(ImageFormatError, match="truncated"):
+        read_image(path)
+    path.write_text("rawgray 2\n1\n0.5 1.5\n")  # grid header fields may span lines too
+    assert read_image_header(path) == ("rawgray", 2, 1, 0)
+    assert read_image(path).tolist() == [[0.5, 1.5]]
+    for text, match in [
+        ("P2\n2 2\n0\n", "bad maxval"),
+        ("rawgray 0 1\n", "bad dimensions"),
+        ("P5\n2 2", "unexpected end"),
+        ("rawgray 1 " + "1" * 30, "field too long"),
+        ("GIF89a", "unrecognized image format"),
+    ]:
+        path.write_text(text)
+        for reader in (read_image_header, read_image):
+            with pytest.raises(ImageFormatError, match=match):
+                reader(path)

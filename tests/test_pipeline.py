@@ -26,6 +26,7 @@ from varipix import (
     write_pgm,
 )
 from varipix.filters import STATISTICS
+from varipix.imgio import ImageFormatError
 from varipix.noise import NOISE_KINDS
 from varipix.pipeline import CSV_HEADER, PIPELINES, format_db, rows_to_csv
 from varipix.synth import disks
@@ -261,6 +262,28 @@ def test_missing_later_input_is_found_before_anything_is_written(tmp_path):
         inputs=(path, tmp_path / "z_missing.pgm"), kernels=(3,), out_dir=out_dir, dump_intermediates=True
     )
     with pytest.raises(FileNotFoundError):
+        run_pipeline(cfg)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "content, match",
+    [
+        (b"P6\n2 2\n255\n" + bytes(12), "unrecognized image format"),
+        (b"P5\n2 0\n255\n", "bad dimensions"),
+        (b"P2\n2 2\n65535\n0 1 2 3\n", "unsupported maxval"),
+        (b"rawgray 2 x\n0.0 1.0\n", "non-integer dimension"),
+    ],
+)
+def test_malformed_later_input_header_is_found_before_anything_is_written(tmp_path, content, match):
+    # each header is checked before out_dir is made, without reading any input's samples
+    path = tmp_path / "a.pgm"
+    write_pgm(small_fixture(), path)
+    bad = tmp_path / "z_bad.pgm"
+    bad.write_bytes(content)
+    out_dir = tmp_path / "o"
+    cfg = PipelineConfig(inputs=(path, bad), kernels=(3,), out_dir=out_dir, dump_intermediates=True)
+    with pytest.raises(ImageFormatError, match=match):
         run_pipeline(cfg)
     assert not out_dir.exists()
 
