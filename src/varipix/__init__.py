@@ -2,7 +2,7 @@
 simulation, shape-adaptive filtering and PSNR benchmarking."""
 
 from .masks import Mask, builtin_masks, load_masks, rotate90, save_masks
-from .imgio import read_image, read_labelmap, read_pgm, read_raw, write_labelmap, write_pgm, write_raw
+from .imgio import read_image, read_labelmap, write_labelmap, write_pgm, write_raw
 from .scan import BLOCK, ScanResult, block_labels, scan_parallel_fused, scan_square
 from .noise import NoiseSpec, apply_noise
 from .filters import adaptive_filter, box_filter
@@ -19,8 +19,6 @@ __all__ = [
     "save_masks",
     "read_image",
     "read_labelmap",
-    "read_pgm",
-    "read_raw",
     "write_labelmap",
     "write_pgm",
     "write_raw",

@@ -2,8 +2,9 @@
 
 One subcommand per pipeline stage (scan, noise, filter, psnr, masks) plus
 `run` for the whole benchmark, so any stage can be reproduced in
-isolation. Stage commands read PGM or raw dumps (sniffed from the file
-header) and write PGM by default or the lossless raw dump with --raw.
+isolation. Stage commands read PGM or raw dumps (the magic in the file's
+header names which) and write PGM by default or the lossless raw dump with
+--raw.
 
 Exit codes: 0 success, 2 bad flags/config, 3 I/O failure, 4 file content
 failed validation.
@@ -176,7 +177,7 @@ def run_cmd(inputs, **options):
     expanded = []
     for p in inputs:
         if p.is_dir():
-            expanded.extend(sorted(q for q in p.iterdir() if q.suffix in (".pgm", ".rawimg")))
+            expanded.extend(sorted(q for q in p.iterdir() if q.suffix in (".pgm", ".rawimg") and q.is_file()))
         else:
             expanded.append(p)
     if not expanded:

@@ -12,9 +12,11 @@ on-disk formats:
   finite floats written as repr writes them, so float64 values round-trip
   exactly.
 
-Every header is read by one parser, `_read_header`: whitespace-separated
+Every header is read once, by one parser, `_read_header`: whitespace-separated
 fields, `#` comments to the end of the line, and the magic, the
-dimensions and the PGM maxval checked before any sample is read.
+dimensions and the PGM maxval checked before any sample is read. The magic
+is the first field and names the file's kind, so `read_image` learns from it
+whether a PGM or a raw dump follows.
 
 Raw dumps are written with repr's bytes but without calling repr per value.
 A finite x is m / 2**s with m < 2**53; its k-fraction-digit candidate is
@@ -25,8 +27,9 @@ round-trips; below it at most the nearest multiple of 10 does, and each of
 its trailing zeros is one digit fewer, so the shortest digits come from one
 128-bit product (the approach of Ryu and Schubfach). This fast path takes
 0.0 and -0.0, integral |x| < 2**52 (written `<int>.0`) and non-integral
-1e-3 <= |x| < 2**31 that are not powers of two (whose rounding interval is
-lopsided); every other value, and every rounding tie, is written with repr.
+1e-3 <= |x| < 2**31; every other value, and every rounding tie, is written
+with repr. The only powers of two in that range, 2**-1 to 2**-9, are exact
+at their first candidate, so their lopsided rounding interval never matters.
 The bytes are laid out as four-digit ASCII words with NUL padding, which is
 deleted, and written 4096 values at a time: with 16384 or more values per
 chunk (float64 temporaries of 128 KB or more) each value cost 1.6-2.3x as
@@ -70,14 +73,13 @@ def as_labels(data, region_bits: bool = False) -> LabelMap:
 
 
 _KINDS = {"P5": "PGM", "P2": "PGM", "rawgray": "raw dump", "labels": "label map"}
-_IMAGE_MAGICS = (("P5", "P2"), ("rawgray",))
 
 
-def _header_field(fh, what: str) -> str:
+def _header_field(fh, bad: str) -> str:
     """The next whitespace-separated header field at fh's position, skipping `#` comments.
 
     Read a byte at a time, so fh stops just past the one whitespace byte
-    that ends the field.
+    that ends the field. A field that cannot be read is reported as `bad`.
     """
     field = b""
     while True:
@@ -86,66 +88,58 @@ def _header_field(fh, what: str) -> str:
             fh.readline()
         elif c and not c.isspace():
             if len(field) == 20:  # longer than any magic or int64 dimension
-                raise ImageFormatError(f"malformed {what} header: field too long")
+                raise ImageFormatError(f"{bad}: field too long")
             field += c
         elif field:
             return field.decode("ascii", "replace")
         elif not c:
-            raise ImageFormatError(f"malformed {what} header: unexpected end of file")
+            raise ImageFormatError(f"{bad}: unexpected end of file")
 
 
-def _read_header(fh, magics: tuple[str, ...]) -> tuple[str, int, int, int]:
+def _read_header(fh, path, magics: tuple[str, ...] = ("P5", "P2", "rawgray")) -> tuple[str, int, int, int]:
     """Parse and check the header at the start of binary stream fh, leaving fh at the samples.
 
-    A PGM header is magic, width, height and maxval; a text grid's is magic,
-    width and height, and its maxval is returned as 0.
+    The first field is the magic, one of magics, and its kind decides the
+    rest: a PGM header goes on with width, height and maxval, a text grid's
+    with width and height (its maxval is returned as 0). A file that starts
+    with none of several magics is an unrecognized image format.
     """
-    what = _KINDS[magics[0]]
-    magic = _header_field(fh, what)
+    bad = f"malformed {_KINDS[magics[0]]} header" if len(magics) == 1 else f"unrecognized image format in {path}"
+    magic = _header_field(fh, bad)
     if magic not in magics:
-        raise ImageFormatError(f"malformed {what} header: bad magic {magic!r}")
-    sizes = [_header_field(fh, what) for _ in range(3 if what == "PGM" else 2)]
+        raise ImageFormatError(f"{bad}: bad magic {magic!r}")
+    what = _KINDS[magic]
+    bad = f"malformed {what} header"
+    sizes = [_header_field(fh, bad) for _ in range(3 if what == "PGM" else 2)]
     try:
         width, height, *maxval = map(int, sizes)
     except ValueError:
-        raise ImageFormatError(f"malformed {what} header: non-integer dimension") from None
+        raise ImageFormatError(f"{bad}: non-integer dimension") from None
     if width <= 0 or height <= 0:
-        raise ImageFormatError(f"malformed {what} header: bad dimensions {width}x{height}")
+        raise ImageFormatError(f"{bad}: bad dimensions {width}x{height}")
     maxval = maxval[0] if maxval else 0
     if maxval > 255:
         raise ImageFormatError(f"unsupported maxval {maxval} (must be <= 255)")
     if what == "PGM" and maxval <= 0:
-        raise ImageFormatError(f"malformed PGM header: bad maxval {maxval}")
+        raise ImageFormatError(f"{bad}: bad maxval {maxval}")
     return magic, width, height, maxval
-
-
-def _image_header(fh, path) -> tuple[str, int, int, int]:
-    """The checked header of the PGM or raw dump that binary stream fh starts with."""
-    head = fh.read(8)
-    fh.seek(0)
-    for magics in _IMAGE_MAGICS:
-        if head.startswith(tuple(m.encode() for m in magics)):
-            return _read_header(fh, magics)
-    raise ImageFormatError(f"unrecognized image format in {path}")
 
 
 def read_image_header(path) -> tuple[str, int, int, int]:
     """Check the header of the PGM or raw dump at path as read_image does, reading no samples."""
     with open(path, "rb") as fh:
-        return _image_header(fh, path)
+        return _read_header(fh, path)
 
 
-def read_pgm(path) -> GrayImage:
-    """Read a P5 (binary) or P2 (ASCII) PGM with maxval <= 255.
-
-    Samples are rescaled from 0..maxval to 0..255, so white is 255.0
-    whatever the maxval; maxval 255 samples are returned as they are.
-    """
+def read_image(path) -> GrayImage:
+    """Read a PGM (P5 or P2) or a raw dump, whichever the magic in its header names."""
     with open(path, "rb") as fh:
-        return _pgm_samples(fh, *_read_header(fh, _IMAGE_MAGICS[0]))
+        header = _read_header(fh, path)
+        return (_raw_samples if header[0] == "rawgray" else _pgm_samples)(fh, *header)
 
 
 def _pgm_samples(fh, magic: str, width: int, height: int, maxval: int) -> GrayImage:
+    """The raster after a PGM header, rescaled from 0..maxval to 0..255, so white is 255.0 whatever the maxval."""
     n = width * height
     if magic == "P5":  # exactly one whitespace byte, already read, separates maxval from the raster
         data = fh.read(n)
@@ -165,18 +159,11 @@ def _pgm_samples(fh, magic: str, width: int, height: int, maxval: int) -> GrayIm
     return img
 
 
-def quantize(img: GrayImage) -> np.ndarray:
-    """Clip to [0, 255] and round half-up to uint8 (the write_pgm convention)."""
-    return np.floor(np.clip(img, 0.0, 255.0) + 0.5).astype(np.uint8)
-
-
-def write_pgm(img: GrayImage, path) -> None:
-    """Write a binary P5 PGM; samples are clipped and rounded half-up."""
-    img = as_image(img)
-    h, w = img.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(quantize(img).tobytes())
+def _raw_samples(fh, magic: str, w: int, h: int, _maxval: int) -> GrayImage:
+    samples = _grid_samples(fh, magic, w, h, "samples", np.float64, "non-numeric sample")
+    if not np.isfinite(samples).all():
+        raise ImageFormatError("malformed raw dump: non-finite sample (nan or inf)")
+    return samples
 
 
 def _parse(tokens, dtype, message: str) -> np.ndarray:
@@ -189,11 +176,20 @@ def _parse(tokens, dtype, message: str) -> np.ndarray:
 
 def _grid_samples(fh, magic: str, w: int, h: int, noun: str, dtype, message: str) -> np.ndarray:
     """The exactly w*h whitespace-separated values after a text grid's header."""
-    tokens = fh.read().decode().split()
+    tokens = fh.read().split()
     what = _KINDS[magic]
     if len(tokens) != w * h:
         raise ImageFormatError(f"{what} says {w}x{h} ({w * h} {noun}) but {len(tokens)} {noun} present")
     return _parse(tokens, dtype, f"malformed {what}: {message}").reshape(h, w)
+
+
+def write_pgm(img: GrayImage, path) -> None:
+    """Write a binary P5 PGM; samples are clipped to [0, 255] and rounded half-up."""
+    img = as_image(img)
+    h, w = img.shape
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(np.floor(np.clip(img, 0.0, 255.0) + 0.5).astype(np.uint8).tobytes())
 
 
 def write_labelmap(labels: LabelMap, path) -> None:
@@ -209,7 +205,7 @@ def write_labelmap(labels: LabelMap, path) -> None:
 
 def read_labelmap(path) -> LabelMap:
     with open(path, "rb") as fh:
-        magic, w, h, _ = _read_header(fh, ("labels",))
+        magic, w, h, _ = _read_header(fh, path, ("labels",))
         labels = _grid_samples(fh, magic, w, h, "labels", np.int64, "non-integer label")
     try:
         return as_labels(labels, region_bits=True)
@@ -296,7 +292,7 @@ def _format_raw(x, sep, tables) -> bytes:
     frac, exp = np.frexp(ax[fast])
     d[fast], k[fast], tie = _shortest(np.ldexp(frac, 53).astype(np.uint64), 53 - exp.astype(np.intp), tables)
     slow = ~integral
-    slow[fast[~tie & (frac != 0.5)]] = False
+    slow[fast[~tie]] = False
     d, k = d.astype(np.int64), k.astype(np.int64)
     whole, part = np.divmod(d, pow10[np.minimum(k, 18)])
     n_whole = -(-len(str(whole.max())) // 4)
@@ -329,22 +325,3 @@ def write_raw(img: GrayImage, path) -> None:
             x = flat[start : start + _CHUNK]
             row_end = np.arange(start + 1, start + 1 + x.size) % w == 0
             fh.write(_format_raw(x, np.where(row_end, ord("\n"), ord(" ")), tables))
-
-
-def read_raw(path) -> GrayImage:
-    with open(path, "rb") as fh:
-        return _raw_samples(fh, *_read_header(fh, ("rawgray",)))
-
-
-def _raw_samples(fh, magic: str, w: int, h: int, _maxval: int) -> GrayImage:
-    samples = _grid_samples(fh, magic, w, h, "samples", np.float64, "non-numeric sample")
-    if not np.isfinite(samples).all():
-        raise ImageFormatError("malformed raw dump: non-finite sample (nan or inf)")
-    return samples
-
-
-def read_image(path) -> GrayImage:
-    """Read either format, sniffing the header (P5/P2 PGM or rawgray dump)."""
-    with open(path, "rb") as fh:
-        header = _image_header(fh, path)
-        return (_raw_samples if header[0] == "rawgray" else _pgm_samples)(fh, *header)

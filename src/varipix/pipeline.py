@@ -60,6 +60,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         """Reject bad settings before any I/O, then store each value once, in row order."""
+        for name in ("noise_kinds", "kernels", "statistics"):
+            if not getattr(self, name):  # it would give a psnr.csv of the header alone
+                raise ValueError(f"{name} must not be empty")
         for kind in self.noise_kinds:
             self.noise_spec(kind)
         for k in self.kernels:

@@ -14,50 +14,50 @@ import numpy as np
 FIXTURE_SIZE = 240  # multiple of the 6-pixel block
 
 
-def checkerboard(n: int = FIXTURE_SIZE, cell: int = 9, lo: float = 60.0, hi: float = 200.0) -> np.ndarray:
-    """Axis-aligned checkerboard; cell=9 puts edges mid-block."""
+def checkerboard(n: int = FIXTURE_SIZE) -> np.ndarray:
+    """Axis-aligned checkerboard of 9-pixel cells, so edges fall mid-block."""
     y, x = np.indices((n, n))
-    board = (y // cell + x // cell) % 2
-    return np.where(board == 0, lo, hi).astype(np.float64)
+    board = (y // 9 + x // 9) % 2
+    return np.where(board == 0, 60.0, 200.0)
 
 
-def rings(n: int = FIXTURE_SIZE, period: int = 12, lo: float = 50.0, hi: float = 210.0) -> np.ndarray:
-    """Concentric alternating bands around the image center."""
+def rings(n: int = FIXTURE_SIZE) -> np.ndarray:
+    """Concentric alternating 12-pixel bands around the image center."""
     y, x = np.indices((n, n), dtype=np.float64)
     c = (n - 1) / 2.0
     dist = np.sqrt((x - c) ** 2 + (y - c) ** 2)
-    return np.where((dist // period) % 2 == 0, lo, hi).astype(np.float64)
+    return np.where((dist // 12) % 2 == 0, 50.0, 210.0)
 
 
-def disks(n: int = FIXTURE_SIZE, pitch: int = 24, radius: float = 9.0, bg: float = 40.0, fg: float = 220.0) -> np.ndarray:
-    """Lattice of bright disks (curved edges throughout the frame)."""
+def disks(n: int = FIXTURE_SIZE) -> np.ndarray:
+    """Lattice of bright disks of radius 9 at a 24-pixel pitch (curved edges throughout the frame)."""
     y, x = np.indices((n, n), dtype=np.float64)
-    cy = (y % pitch) - pitch / 2 + 0.5
-    cx = (x % pitch) - pitch / 2 + 0.5
-    return np.where(cx**2 + cy**2 <= radius**2, fg, bg).astype(np.float64)
+    cy = (y % 24) - 11.5
+    cx = (x % 24) - 11.5
+    return np.where(cx**2 + cy**2 <= 81.0, 220.0, 40.0)
 
 
-def pinwheel(n: int = FIXTURE_SIZE, sectors: int = 16, lo: float = 30.0, hi: float = 230.0) -> np.ndarray:
-    """Alternating angular sectors: oblique edges at every orientation."""
+def pinwheel(n: int = FIXTURE_SIZE) -> np.ndarray:
+    """16 alternating angular sectors: oblique edges at every orientation."""
     y, x = np.indices((n, n), dtype=np.float64)
     c = (n - 1) / 2.0
     angle = np.arctan2(y - c, x - c)
-    sector = np.floor(angle / (2 * np.pi / sectors)).astype(np.int64)
-    return np.where(sector % 2 == 0, lo, hi).astype(np.float64)
+    sector = np.floor(angle / (2 * np.pi / 16)).astype(np.int64)
+    return np.where(sector % 2 == 0, 30.0, 230.0)
 
 
-def sawtooth(n: int = FIXTURE_SIZE, period: int = 24) -> np.ndarray:
-    """Repeating diagonal gradients with a sharp reset every period."""
+def sawtooth(n: int = FIXTURE_SIZE) -> np.ndarray:
+    """Repeating diagonal gradients with a sharp reset every 24 pixels."""
     y, x = np.indices((n, n), dtype=np.float64)
-    return ((x + y) % period) * (255.0 / (period - 1))
+    return ((x + y) % 24) * (255.0 / 23)
 
 
-def fixture_images(n: int = FIXTURE_SIZE) -> dict[str, np.ndarray]:
+def fixture_images() -> dict[str, np.ndarray]:
     """The named five-fixture benchmark set."""
     return {
-        "checkerboard": checkerboard(n),
-        "disks": disks(n),
-        "pinwheel": pinwheel(n),
-        "rings": rings(n),
-        "sawtooth": sawtooth(n),
+        "checkerboard": checkerboard(),
+        "disks": disks(),
+        "pinwheel": pinwheel(),
+        "rings": rings(),
+        "sawtooth": sawtooth(),
     }

@@ -19,8 +19,7 @@ from varipix import (
     box_filter,
     builtin_masks,
     load_masks,
-    read_pgm,
-    read_raw,
+    read_image,
     run_pipeline,
     scan_parallel_fused,
     scan_square,
@@ -96,7 +95,7 @@ def test_scan_square_writes_means(runner, tmp_path):
     out = tmp_path / "s.rawimg"
     result = invoke(runner, "scan", img, "--out", out, "--layout", "square", "--raw")
     assert result.exit_code == 0
-    assert np.all(read_raw(out) == 50.0)
+    assert np.all(read_image(out) == 50.0)
 
 
 def test_scan_pads_and_crops_odd_sizes(runner, tmp_path):
@@ -105,7 +104,7 @@ def test_scan_pads_and_crops_odd_sizes(runner, tmp_path):
     out = tmp_path / "s.rawimg"
     result = invoke(runner, "scan", img, "--out", out, "--raw")
     assert result.exit_code == 0
-    assert read_raw(out).shape == (20, 26)
+    assert read_image(out).shape == (20, 26)
 
 
 def test_scan_runs_only_the_scan_of_its_layout(runner, tmp_path, monkeypatch):
@@ -119,7 +118,7 @@ def test_scan_runs_only_the_scan_of_its_layout(runner, tmp_path, monkeypatch):
             m.setattr(f"varipix.cli.{other}", None)  # calling it would fail the command
             out = tmp_path / f"{layout}.rawimg"
             assert invoke(runner, "scan", img, "--out", out, "--layout", layout, "--raw").exit_code == 0
-        assert np.array_equal(read_raw(out), scan(read_pgm(img)))
+        assert np.array_equal(read_image(out), scan(read_image(img)))
 
 
 def test_staged_chain_matches_run_csv(runner, tmp_path):
@@ -231,6 +230,7 @@ def test_run_expands_directories(runner, tmp_path):
     write_fixture(src / "a.pgm")
     write_fixture(src / "b.pgm")
     (src / "notes.txt").write_text("not an image\n")
+    (src / "sub.pgm").mkdir()  # only regular files are inputs
     out_dir = tmp_path / "out"
     result = invoke(
         runner, "run", src, "--out-dir", out_dir,
@@ -379,6 +379,16 @@ def test_exit_code_4_for_non_finite_raw_sample(runner, tmp_path):
     assert "nan" not in result.output.splitlines()
 
 
+def test_exit_code_4_for_non_utf8_raw_sample(runner, tmp_path):
+    good = tmp_path / "a.rawimg"
+    good.write_text("rawgray 2 1\n1.0 2.0\n")
+    bad = tmp_path / "b.rawimg"
+    bad.write_bytes(b"rawgray 2 1\n1.0 \xff\n")
+    result = invoke(runner, "psnr", good, bad)
+    assert result.exit_code == 4
+    assert "error: malformed raw dump: non-numeric sample" in result.output
+
+
 @pytest.mark.parametrize("header", ["rawgray 0 0\n", "rawgray -2 -3\n1 2 3 4 5 6\n"])
 def test_exit_code_4_for_raw_dump_with_no_samples(runner, tmp_path, header):
     empty = tmp_path / "e.rawimg"
@@ -411,7 +421,7 @@ def test_noise_and_run_defaults_match_library_defaults(runner, tmp_path):
         out = tmp_path / f"{kind}.pgm"
         assert invoke(runner, "noise", img, "--out", out, "--kind", kind).exit_code == 0
         want = tmp_path / f"{kind}_lib.pgm"
-        write_pgm(apply_noise(read_pgm(img), NoiseSpec(kind)), want)
+        write_pgm(apply_noise(read_image(img), NoiseSpec(kind)), want)
         assert out.read_bytes() == want.read_bytes()
     assert invoke(runner, "run", img, "--out-dir", tmp_path / "cli").exit_code == 0
     rows = run_pipeline(PipelineConfig(inputs=(img,), out_dir=tmp_path / "lib"))
@@ -419,7 +429,7 @@ def test_noise_and_run_defaults_match_library_defaults(runner, tmp_path):
     assert {r.kernel for r in rows} == {DEFAULT_KERNEL}
     out = tmp_path / "filtered.pgm"
     assert invoke(runner, "filter", img, "--out", out).exit_code == 0
-    write_pgm(box_filter(read_pgm(img), DEFAULT_KERNEL), tmp_path / "filtered_lib.pgm")
+    write_pgm(box_filter(read_image(img), DEFAULT_KERNEL), tmp_path / "filtered_lib.pgm")
     assert out.read_bytes() == (tmp_path / "filtered_lib.pgm").read_bytes()
 
 
@@ -475,7 +485,7 @@ def test_pgm_output_is_quantized(runner, tmp_path):
     out = tmp_path / "n.pgm"
     result = invoke(runner, "noise", img, "--out", out, "--kind", "gaussian")
     assert result.exit_code == 0
-    values = read_pgm(out)
+    values = read_image(out)
     assert np.array_equal(values, np.floor(values))
     assert values.min() >= 0.0
     assert values.max() <= 255.0

@@ -19,8 +19,6 @@ from varipix import (
     psnr,
     read_image,
     read_labelmap,
-    read_pgm,
-    read_raw,
     run_pipeline,
     scan_parallel_fused,
     scan_square,
@@ -28,14 +26,14 @@ from varipix import (
     write_pgm,
     write_raw,
 )
-from varipix.imgio import _CHUNK, ImageFormatError, as_image, as_labels, quantize, read_image_header
+from varipix.imgio import _CHUNK, ImageFormatError, as_image, as_labels, read_image_header
 from varipix.synth import fixture_images
 
 
 def test_read_ascii_pgm_exact_values(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_text("P2\n# a comment\n2 2\n255\n0 64\n128 255\n")
-    img = read_pgm(path)
+    img = read_image(path)
     assert img.dtype == np.float64
     assert np.array_equal(img, [[0.0, 64.0], [128.0, 255.0]])
 
@@ -47,27 +45,28 @@ def test_binary_and_ascii_agree(tmp_path, rng):
     p2 = tmp_path / "b2.pgm"
     rows = "\n".join(" ".join(str(v) for v in row) for row in data)
     p2.write_text(f"P2\n5 7\n255\n{rows}\n")
-    assert np.array_equal(read_pgm(p5), read_pgm(p2))
+    assert np.array_equal(read_image(p5), read_image(p2))
 
 
 def test_write_read_round_trip_integers(tmp_path, rng):
     data = rng.integers(0, 256, size=(16, 9)).astype(np.float64)
     path = tmp_path / "c.pgm"
     write_pgm(data, path)
-    assert np.array_equal(read_pgm(path), data)
+    assert np.array_equal(read_image(path), data)
 
 
 def test_write_rounds_half_up_and_clips(tmp_path):
     img = np.array([[127.5, 126.4999, -3.0, 300.0, 0.49, 254.5]])
     path = tmp_path / "d.pgm"
     write_pgm(img, path)
-    assert np.array_equal(read_pgm(path), [[128.0, 126.0, 0.0, 255.0, 0.0, 255.0]])
+    assert np.array_equal(read_image(path), [[128.0, 126.0, 0.0, 255.0, 0.0, 255.0]])
 
 
-def test_quantize_convention():
-    assert quantize(np.array([[0.5]]))[0, 0] == 1
-    assert quantize(np.array([[1.5]]))[0, 0] == 2
-    assert quantize(np.array([[255.4]]))[0, 0] == 255
+def test_quantize_convention(tmp_path):
+    # clip to [0, 255], then round half-up, as the raster bytes show
+    path = tmp_path / "q.pgm"
+    write_pgm(np.array([[0.5, 1.5, 255.4]]), path)
+    assert path.read_bytes() == b"P5\n3 1\n255\n" + bytes([1, 2, 255])
 
 
 def test_written_file_size_is_header_plus_pixels(tmp_path):
@@ -83,17 +82,17 @@ def test_written_file_size_is_header_plus_pixels(tmp_path):
 def test_binary_pgm_comments_and_whitespace(tmp_path):
     path = tmp_path / "f.pgm"
     path.write_bytes(b"P5 # magic\n# size next\n2\t2\n255\n" + bytes([1, 2, 3, 4]))
-    assert np.array_equal(read_pgm(path), [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(read_image(path), [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_small_maxval_accepted_large_rejected(tmp_path):
     ok = tmp_path / "g.pgm"
     ok.write_text("P2\n2 1\n15\n0 15\n")
-    assert np.array_equal(read_pgm(ok), [[0.0, 255.0]])
+    assert np.array_equal(read_image(ok), [[0.0, 255.0]])
     bad = tmp_path / "h.pgm"
     bad.write_text("P2\n2 1\n65535\n0 15\n")
     with pytest.raises(ImageFormatError, match="unsupported maxval"):
-        read_pgm(bad)
+        read_image(bad)
 
 
 @pytest.mark.parametrize("maxval", [1, 7, 15, 100, 254])
@@ -101,7 +100,7 @@ def test_small_maxval_rescaled_onto_0_255(tmp_path, maxval):
     samples = list(range(maxval + 1))
     path = tmp_path / "s.pgm"
     path.write_text(f"P2\n{maxval + 1} 1\n{maxval}\n" + " ".join(map(str, samples)) + "\n")
-    img = read_pgm(path)
+    img = read_image(path)
     assert img[0, 0] == 0.0 and img[0, -1] == 255.0
     assert np.array_equal(img, [[s * 255.0 / maxval for s in samples]])
     assert np.all(np.diff(img) > 0)
@@ -111,47 +110,47 @@ def test_sample_above_maxval_rejected(tmp_path):
     path = tmp_path / "i.pgm"
     path.write_text("P2\n2 1\n100\n0 101\n")
     with pytest.raises(ImageFormatError, match=r"outside \[0, 100\]"):
-        read_pgm(path)
+        read_image(path)
 
 
 def test_negative_sample_rejected(tmp_path):
     path = tmp_path / "j.pgm"
     path.write_text("P2\n2 1\n255\n-1 0\n")
     with pytest.raises(ImageFormatError, match="outside"):
-        read_pgm(path)
+        read_image(path)
 
 
 def test_truncated_binary_rejected(tmp_path):
     path = tmp_path / "k.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
     with pytest.raises(ImageFormatError, match="truncated"):
-        read_pgm(path)
+        read_image(path)
 
 
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "l.pgm"
     path.write_bytes(b"P6\n1 1\n255\nx")
-    with pytest.raises(ImageFormatError, match="bad magic"):
-        read_pgm(path)
+    with pytest.raises(ImageFormatError, match="unrecognized image format.*bad magic 'P6'"):
+        read_image(path)
 
 
 def test_non_integer_dimension_rejected(tmp_path):
     path = tmp_path / "m.pgm"
     path.write_text("P2\ntwo 2\n255\n0 0\n")
     with pytest.raises(ImageFormatError, match="non-integer dimension"):
-        read_pgm(path)
+        read_image(path)
 
 
 def test_header_eof_rejected(tmp_path):
     path = tmp_path / "n.pgm"
     path.write_text("P5\n3 3\n")
     with pytest.raises(ImageFormatError, match="unexpected end"):
-        read_pgm(path)
+        read_image(path)
 
 
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
-        read_pgm(tmp_path / "absent.pgm")
+        read_image(tmp_path / "absent.pgm")
 
 
 def test_labelmap_round_trip(tmp_path, rng):
@@ -202,7 +201,7 @@ def test_raw_round_trip_is_lossless(tmp_path, rng):
     img[0, 1] = np.nextafter(200.0, 201.0)
     path = tmp_path / "a.rawimg"
     write_raw(img, path)
-    back = read_raw(path)
+    back = read_image(path)
     assert back.dtype == np.float64
     assert np.array_equal(back, img)
 
@@ -214,7 +213,7 @@ def test_text_writers_match_per_sample_repr_and_str(tmp_path, rng):
     rows = [" ".join(repr(float(v)) for v in row) for row in img]
     assert (tmp_path / "a.rawimg").read_text() == "rawgray 6 3\n" + "\n".join(rows) + "\n"
     assert "-0.0 5e-324 1e+16 1.0000000000000002 255.0 " in rows[0] + " "
-    assert np.array_equal(np.signbit(read_raw(tmp_path / "a.rawimg")), np.signbit(img))
+    assert np.array_equal(np.signbit(read_image(tmp_path / "a.rawimg")), np.signbit(img))
     labels = rng.integers(0, 2, size=(4, 5))
     for given in (labels, labels.astype(np.uint8), labels.astype(bool)):
         write_labelmap(given, tmp_path / "a.labels")
@@ -225,27 +224,25 @@ def test_text_writers_match_per_sample_repr_and_str(tmp_path, rng):
 def test_raw_bad_header_rejected(tmp_path):
     path = tmp_path / "b.rawimg"
     path.write_text("rawgrey 1 1\n0.0\n")
-    with pytest.raises(ImageFormatError, match="malformed raw dump header"):
-        read_raw(path)
+    with pytest.raises(ImageFormatError, match="unrecognized image format"):
+        read_image(path)
     for text in ("rawgray 0 0\n", "rawgray 4 0\n", "rawgray -2 -3\n1 2 3 4 5 6\n"):
         path.write_text(text)
         with pytest.raises(ImageFormatError, match="malformed raw dump header: bad dimensions"):
-            read_raw(path)
+            read_image(path)
 
 
 def test_raw_count_mismatch_rejected(tmp_path):
     path = tmp_path / "c.rawimg"
     path.write_text("rawgray 2 2\n0.0 1.0 2.0\n")
     with pytest.raises(ImageFormatError, match="4 samples.*3 samples"):
-        read_raw(path)
+        read_image(path)
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "infinity"])
 def test_raw_non_finite_sample_rejected(tmp_path, token):
     path = tmp_path / "d.rawimg"
     path.write_text(f"rawgray 2 1\n1.0 {token}\n")
-    with pytest.raises(ImageFormatError, match="non-finite"):
-        read_raw(path)
     with pytest.raises(ImageFormatError, match="non-finite"):
         read_image(path)
 
@@ -256,16 +253,19 @@ def test_raw_non_finite_sample_rejected(tmp_path, token):
         ("labels 2 1\n0 x\n", read_labelmap, "non-integer label"),
         ("labels 2 1\n0 1.0\n", read_labelmap, "non-integer label"),
         ("labels 2 1\n0 99999999999999999999\n", read_labelmap, "non-integer label"),
-        ("rawgray 2 1\n0.5 0x1p3\n", read_raw, "non-numeric sample"),
-        ("rawgray 2 1\n0.5 1,5\n", read_raw, "non-numeric sample"),
-        ("P2\n2 1\n255\n0 1.5\n", read_pgm, "non-integer sample"),
-        ("P2\n2 1\n255\n0 99999999999999999999\n", read_pgm, "non-integer sample"),
+        ("rawgray 2 1\n0.5 0x1p3\n", read_image, "non-numeric sample"),
+        ("rawgray 2 1\n0.5 1,5\n", read_image, "non-numeric sample"),
+        ("P2\n2 1\n255\n0 1.5\n", read_image, "non-integer sample"),
+        ("P2\n2 1\n255\n0 99999999999999999999\n", read_image, "non-integer sample"),
+        ("rawgray 2 1\n1.0 \xff\n", read_image, "malformed raw dump: non-numeric sample"),
+        ("labels 2 1\n0 \xff\n", read_labelmap, "malformed label map: non-integer label"),
+        ("P2\n2 1\n255\n0 \xff\n", read_image, "malformed PGM data: non-integer sample"),
     ],
 )
 def test_text_readers_reject_bad_tokens(tmp_path, text, reader, message):
-    # an integer too large for int64 is malformed content, not a crash
+    # an integer too large for int64, or a byte that is not UTF-8, is malformed content, not a crash
     path = tmp_path / "bad.txt"
-    path.write_text(text)
+    path.write_bytes(text.encode("latin-1"))  # one byte per character, so "\xff" is the byte 0xff
     with pytest.raises(ImageFormatError, match=message):
         reader(path)
 
@@ -275,13 +275,13 @@ def test_text_readers_parse_tokens_as_int_and_float_do(tmp_path):
     floats = [".5", "5.", "+1.5", "1E5", "-0", "-0.0", "1_0.5", "4.9e-324", "1e-400", "0.1", "1.7976931348623157e308"]
     path = tmp_path / "a.rawimg"
     path.write_text(f"rawgray {len(floats)} 1\n" + " ".join(floats) + "\n")
-    assert read_raw(path).tobytes() == np.array([[float(t) for t in floats]]).tobytes()
+    assert read_image(path).tobytes() == np.array([[float(t) for t in floats]]).tobytes()
     labels = ["+1", "-0", "01", "0", "0_1"]
     path.write_text(f"labels {len(labels)} 1\n" + " ".join(labels) + "\n")
     assert read_labelmap(path).tolist() == [[int(t) for t in labels]]
-    samples = ["+1", "-0", "01", "255", "1_0"]  # P2 tokens are bytes
+    samples = ["+1", "-0", "01", "255", "1_0"]  # tokens are bytes, which int() parses as it parses str
     path.write_text(f"P2\n{len(samples)} 1\n255\n" + " ".join(samples) + "\n")
-    assert read_pgm(path).tolist() == [[float(int(t.encode())) for t in samples]]
+    assert read_image(path).tolist() == [[float(int(t.encode())) for t in samples]]
 
 
 def test_read_image_sniffs_all_formats(tmp_path):
@@ -366,7 +366,7 @@ def test_library_entry_points_reject_bad_images(entry, img, message):
 def test_pgm_round_trip_property(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("pgm") / "t.pgm"
     write_pgm(data.astype(np.float64), path)
-    assert np.array_equal(read_pgm(path), data.astype(np.float64))
+    assert np.array_equal(read_image(path), data.astype(np.float64))
 
 
 @settings(max_examples=30, deadline=None)
@@ -380,7 +380,7 @@ def test_pgm_round_trip_property(tmp_path_factory, data):
 def test_raw_round_trip_property(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("raw") / "t.rawimg"
     write_raw(data, path)
-    assert np.array_equal(read_raw(path), data)
+    assert np.array_equal(read_image(path), data)
 
 
 def repr_dump(img) -> bytes:
@@ -408,7 +408,7 @@ def test_raw_dumps_of_a_dump_roundtrip_run_match_repr(tmp_path):
     dumps = sorted(out_dir.glob("*.rawimg"))
     assert len(dumps) == 35
     for path in dumps:
-        assert path.read_bytes() == repr_dump(read_raw(path)), path.name
+        assert path.read_bytes() == repr_dump(read_image(path)), path.name
 
 
 def edges(*values):
@@ -430,6 +430,8 @@ RAW_EDGE_CASES = {
     # x * 10**k exactly halfway between two candidates: repr rounds half to even
     "rounding_ties": edges(1 + 2**-17, 1 + 3 * 2**-17, 200 + 2**-15, 200 + 5 * 2**-15),
     "short_decimals": edges(0.1, 0.3, 0.1 + 0.2, 2 / 3, 85.25, 1e-3 * 7, 123456.789, 2.0**31 - 0.5),
+    # the only non-integral powers of two in the fast domain: a lopsided rounding interval, exact digits
+    "fast_domain_powers_of_two": [sign * 2.0**-e for e in range(1, 10) for sign in (1, -1)],
 }
 
 

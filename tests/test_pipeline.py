@@ -19,7 +19,7 @@ from varipix import (
     builtin_masks,
     evaluate_image,
     psnr,
-    read_raw,
+    read_image,
     run_pipeline,
     scan_parallel_fused,
     scan_square,
@@ -237,11 +237,15 @@ def test_run_pipeline_rejects_unknown_noise(tmp_path):
         ({"out_dir": None}, "dump_intermediates requires out_dir"),
         ({"out_dir": None, "raw_intermediates": True}, "dump_intermediates requires out_dir"),
         ({"dump_intermediates": False, "raw_intermediates": True}, "raw_intermediates requires dump_intermediates"),
+        ({"noise_kinds": ()}, "noise_kinds must not be empty"),
+        ({"kernels": ()}, "kernels must not be empty"),
+        ({"statistics": ()}, "statistics must not be empty"),
     ],
     ids=[
         "density", "sigma", "variance", "negative-seed", "float-seed", "bool-seed",
         "kernel", "bool-kernel", "statistic", "adaptive-mode", "criterion",
         "dump-without-out-dir", "raw-dump-without-out-dir", "raw-without-dump",
+        "no-noise-kinds", "no-kernels", "no-statistics",
     ],
 )
 def test_bad_settings_are_rejected_before_anything_is_written(tmp_path, setting, match):
@@ -308,10 +312,10 @@ def test_dumped_raw_intermediates_match_stage_values(masks, tmp_path):
     square = scan_square(clean)
     fused = scan_parallel_fused(clean, masks)
     variable, labels = fused.image, fused.labels
-    assert np.array_equal(read_raw(out_dir / "disks_square.rawimg"), square)
-    assert np.array_equal(read_raw(out_dir / "disks_variable.rawimg"), variable)
+    assert np.array_equal(read_image(out_dir / "disks_square.rawimg"), square)
+    assert np.array_equal(read_image(out_dir / "disks_variable.rawimg"), variable)
     spec = NoiseSpec("gaussian", seed=42)
     noisy = apply_noise(variable, spec)
-    assert np.array_equal(read_raw(out_dir / "disks_gaussian_variable_noisy.rawimg"), noisy)
+    assert np.array_equal(read_image(out_dir / "disks_gaussian_variable_noisy.rawimg"), noisy)
     filtered = adaptive_filter(noisy, labels, 3, "mean", "literal")
-    assert np.array_equal(read_raw(out_dir / "disks_gaussian_adaptive_mean_k3.rawimg"), filtered)
+    assert np.array_equal(read_image(out_dir / "disks_gaussian_adaptive_mean_k3.rawimg"), filtered)

@@ -48,7 +48,7 @@ def test_two_level_generators():
 
 
 def test_sawtooth_period():
-    img = sawtooth(96, period=24)
+    img = sawtooth(96)
     assert img[0, 0] == 0.0
     assert img[0, 23] == 255.0
     assert img[0, 24] == 0.0
