@@ -38,7 +38,7 @@ def parse_args() -> argparse.Namespace:
 
 def collect_inputs(args: argparse.Namespace) -> list[Path]:
     if args.images is not None:
-        inputs = sorted(args.images.glob("*.pgm"))
+        inputs = sorted(p for p in args.images.glob("*.pgm") if p.is_file())
         if not inputs:
             raise SystemExit(f"no .pgm files in {args.images}")
         return inputs

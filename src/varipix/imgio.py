@@ -20,16 +20,17 @@ whether a PGM or a raw dump follows.
 
 Raw dumps are written with repr's bytes but without calling repr per value.
 A finite x is m / 2**s with m < 2**53; its k-fraction-digit candidate is
-D = round(m * 5**k / 2**(s-k)), computed exactly in two uint64 limbs, and
-D / 10**k reads back as x exactly when 2 * |m * 5**k - D * 2**(s-k)| < 5**k
-(no ties, because 5**k is odd). The smallest k with 10**k >= 2**s always
-round-trips; below it at most the nearest multiple of 10 does, and each of
-its trailing zeros is one digit fewer, so the shortest digits come from one
-128-bit product (the approach of Ryu and Schubfach). This fast path takes
-0.0 and -0.0, integral |x| < 2**52 (written `<int>.0`) and non-integral
-1e-3 <= |x| < 2**31; every other value, and every rounding tie, is written
-with repr. The only powers of two in that range, 2**-1 to 2**-9, are exact
-at their first candidate, so their lopsided rounding interval never matters.
+D = round(m * 5**k / 2**(s-k)), computed exactly in two uint64 limbs, with an
+exact tie rounded half to even as repr rounds it, and D / 10**k reads back as
+x exactly when 2 * |m * 5**k - D * 2**(s-k)| < 5**k (never equal, because
+5**k is odd). The smallest k with 10**k >= 2**s always round-trips; below it
+at most the nearest multiple of 10 does, and each of its trailing zeros is
+one digit fewer, so the shortest digits come from one 128-bit product (the
+approach of Ryu and Schubfach). This exact path takes 0.0 and -0.0, integral
+|x| < 2**52 (written `<int>.0`) and non-integral 1e-3 <= |x| < 2**31; repr
+writes only the values outside it. The only powers of two in that range,
+2**-1 to 2**-9, are exact at their first candidate, so their lopsided
+rounding interval never matters.
 The bytes are laid out as four-digit ASCII words with NUL padding, which is
 deleted, and written 4096 values at a time: with 16384 or more values per
 chunk (float64 temporaries of 128 KB or more) each value cost 1.6-2.3x as
@@ -239,7 +240,7 @@ def _tables() -> SimpleNamespace:
 
 
 def _shortest(m, s, tables):
-    """Shortest round-trip digits of m / 2**s (m < 2**53, 22 <= s <= 62) as D / 10**k, and a tie flag."""
+    """Shortest round-trip digits of m / 2**s (m < 2**53, 22 <= s <= 62) as D / 10**k."""
     k, p, t = tables.k[s], tables.pow5[s], tables.shift[s]
     # m * 5**k as hi * 2**64 + lo, from 32-bit halves
     a0, a1, b0, b1 = m & _M32, m >> _S32, p & _M32, p >> _S32
@@ -257,9 +258,9 @@ def _shortest(m, s, tables):
     err = np.where(up, ((_TEN - last) << t) - r, (last << t) + r)  # to the nearest multiple of 10, times 2**t
     shorter = err + err < p
     half = unit >> _ONE
-    d = np.where(shorter, q10 + up, q + (r >= half))
+    nearest = (r > half) | ((r == half) & ((q & _ONE) == _ONE))  # a tie rounds half to even, as repr does
+    d = np.where(shorter, q10 + up, q + nearest)
     k = k - shorter
-    tie = ~shorter & (r == half)
     # a shorter candidate is unique; each trailing zero it has is one digit fewer
     z = np.flatnonzero(d == d // _TEN * _TEN)
     dz, kz = d[z], k[z]
@@ -268,7 +269,7 @@ def _shortest(m, s, tables):
         hit = cut * _U64(10**e) == dz
         dz, kz = np.where(hit, cut, dz), kz - hit * _U64(e)
     d[z], k[z] = dz, kz
-    return d, k, tie
+    return d, k
 
 
 def _digit_words(v, keep, nwords: int, tables) -> np.ndarray:
@@ -288,11 +289,10 @@ def _format_raw(x, sep, tables) -> bytes:
     integral = (ax < 2.0**52) & (np.floor(ax) == ax)
     d = np.where(integral, ax, 0.0).astype(np.uint64) * _TEN  # `<int>.0` is D = 10 * int, k = 1
     k = np.ones(x.size, dtype=np.uint64)
-    fast = np.flatnonzero((ax >= 1e-3) & (ax < 2.0**31) & ~integral)
+    window = (ax >= 1e-3) & (ax < 2.0**31) & ~integral
+    fast = np.flatnonzero(window)
     frac, exp = np.frexp(ax[fast])
-    d[fast], k[fast], tie = _shortest(np.ldexp(frac, 53).astype(np.uint64), 53 - exp.astype(np.intp), tables)
-    slow = ~integral
-    slow[fast[~tie]] = False
+    d[fast], k[fast] = _shortest(np.ldexp(frac, 53).astype(np.uint64), 53 - exp.astype(np.intp), tables)
     d, k = d.astype(np.int64), k.astype(np.int64)
     whole, part = np.divmod(d, pow10[np.minimum(k, 18)])
     n_whole = -(-len(str(whole.max())) // 4)
@@ -305,7 +305,7 @@ def _format_raw(x, sep, tables) -> bytes:
         sep[:, None],
     ]
     text = np.concatenate(cols, axis=1, dtype="<u4", casting="unsafe")
-    at = np.flatnonzero(slow)
+    at = np.flatnonzero(~(integral | window))
     if at.size:  # repr itself, NUL-padded into the row (widened to 28 bytes if need be)
         text = np.pad(text, ((0, 0), (0, max(0, 7 - text.shape[1]))))
         rows = [f"{v!r}{chr(c)}" for v, c in zip(x[at].tolist(), sep[at].tolist())]

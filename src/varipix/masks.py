@@ -38,13 +38,14 @@ class Mask:
     id: str
 
     def __post_init__(self):
-        cells = np.array(self.cells, dtype=np.uint8)
+        given = np.asarray(self.cells)  # checked before the cast, which would wrap 257 and truncate 1.9
+        if given.shape != (MASK_SIZE, MASK_SIZE):
+            raise MaskError(f"mask {self.id!r}: cells must be {MASK_SIZE}x{MASK_SIZE}")
+        if not np.isin(given, (0, 1)).all():
+            raise MaskError(f"mask {self.id!r}: cells must contain only 0 or 1")
+        cells = given.astype(np.uint8)
         cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)
-        if cells.shape != (MASK_SIZE, MASK_SIZE):
-            raise MaskError(f"mask {self.id!r}: cells must be {MASK_SIZE}x{MASK_SIZE}")
-        if not np.isin(cells, (0, 1)).all():
-            raise MaskError(f"mask {self.id!r}: cells must contain only 0 or 1")
         if 0 in self.region_sizes():
             raise MaskError(f"mask {self.id!r}: empty region")
         if self.shape_kind not in SHAPE_KINDS:
@@ -134,40 +135,33 @@ def load_masks(path) -> MaskSet:
         lines = fh.read().splitlines()
 
     masks = []
-    i = 0
-    n = len(lines)
-    while i < n:
-        raw = lines[i]
+    numbered = enumerate(lines, 1)
+    for header_line, raw in numbered:
         if not raw.strip() or raw.lstrip().startswith("#"):
-            i += 1
             continue
         parts = raw.split()
         if parts[0] != "mask" or len(parts) != 4:
-            raise MaskFormatError(f"expected 'mask <id> <kind> <orientation>', got {raw!r}", i + 1)
+            raise MaskFormatError(f"expected 'mask <id> <kind> <orientation>', got {raw!r}", header_line)
         mask_id, kind = parts[1], parts[2]
         try:
             orientation = int(parts[3])
         except ValueError:
-            raise MaskFormatError(f"orientation is not an integer: {parts[3]!r}", i + 1) from None
-        header_line = i + 1
-        i += 1
+            raise MaskFormatError(f"orientation is not an integer: {parts[3]!r}", header_line) from None
         grid = []
         while len(grid) < MASK_SIZE:
-            if i >= n or not lines[i].strip():
+            line, row = next(numbered, (len(lines) + 1, ""))
+            row = row.strip()
+            if not row:  # reported at the line before the blank or the end of the file
                 raise MaskFormatError(
-                    f"mask {mask_id!r}: grid ended after {len(grid)} of {MASK_SIZE} rows", i
+                    f"mask {mask_id!r}: grid ended after {len(grid)} of {MASK_SIZE} rows", line - 1
                 )
-            row = lines[i].strip()
             if row.startswith("#"):
-                i += 1
                 continue
             if len(row) != MASK_SIZE or any(ch not in "01" for ch in row):
                 raise MaskFormatError(
-                    f"mask {mask_id!r}: expected {MASK_SIZE} characters from {{0,1}}, got {row!r}",
-                    i + 1,
+                    f"mask {mask_id!r}: expected {MASK_SIZE} characters from {{0,1}}, got {row!r}", line
                 )
             grid.append([int(ch) for ch in row])
-            i += 1
         try:
             masks.append(Mask(np.array(grid, dtype=np.uint8), kind, orientation, mask_id))
         except MaskError as exc:

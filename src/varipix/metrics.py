@@ -16,12 +16,15 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     b = as_image(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
+    with np.errstate(over="ignore"):  # an overflow gives inf, which psnr takes to its limit
+        return float(np.mean((a - b) ** 2))
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
-    """10 * log10(PEAK^2 / mse) in dB; identical images give math.inf."""
+    """10 * log10(PEAK^2 / mse) in dB; identical images give math.inf, and -math.inf if the mse overflows."""
     err = mse(a, b)
     if err == 0.0:
         return math.inf
+    if err == math.inf:  # finite samples whose squared difference overflows float64: the limit
+        return -math.inf
     return 10.0 * math.log10(PEAK * PEAK / err)

@@ -17,7 +17,6 @@ are not sorted afterwards. Flagged intermediates are dumped through
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,7 +102,7 @@ class PsnrRow:
 
 
 def format_db(value: float) -> str:
-    return "inf" if math.isinf(value) else f"{value:.6f}"
+    return f"{value:.6f}"  # "inf" and "-inf" for the infinite ones
 
 
 def rows_to_csv(rows: list[PsnrRow]) -> str:

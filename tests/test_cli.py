@@ -24,6 +24,7 @@ from varipix import (
     scan_parallel_fused,
     scan_square,
     write_pgm,
+    write_raw,
 )
 from varipix.cli import main
 from varipix.filters import (
@@ -238,6 +239,15 @@ def test_run_expands_directories(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert "wrote 6 rows" in result.output
+
+
+def test_psnr_of_finite_images_whose_squared_error_overflows_is_minus_inf(runner, tmp_path):
+    big, zero = tmp_path / "big.rawimg", tmp_path / "zero.rawimg"
+    write_raw(np.full((2, 2), 1e200), big)
+    write_raw(np.zeros((2, 2)), zero)
+    result = invoke(runner, "psnr", big, zero)
+    assert result.exit_code == 0, result.output
+    assert result.output == "-inf\n"
 
 
 def test_run_rejects_empty_directory(runner, tmp_path):
@@ -458,6 +468,7 @@ def test_experiment_tables_use_the_middle_kernel_size_whatever_the_flag_order(mo
     images.mkdir()
     write_fixture(images / "a.pgm")
     write_pgm(255.0 - disks(36), images / "b.pgm")
+    (images / "sub.pgm").mkdir()  # only regular files are inputs
     argv = ["run_experiment.py", "--out-dir", str(tmp_path / "out"), "--images", str(images), "--kernels", "7", "3", "5"]
     monkeypatch.setattr("sys.argv", argv)
     experiment_script().main()

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from varipix import (
-    PipelineConfig,
     adaptive_filter,
     NoiseSpec,
     apply_noise,
@@ -19,13 +19,13 @@ from varipix import (
     psnr,
     read_image,
     read_labelmap,
-    run_pipeline,
     scan_parallel_fused,
     scan_square,
     write_labelmap,
     write_pgm,
     write_raw,
 )
+from varipix.cli import main
 from varipix.imgio import _CHUNK, ImageFormatError, as_image, as_labels, read_image_header
 from varipix.synth import fixture_images
 
@@ -124,6 +124,13 @@ def test_truncated_binary_rejected(tmp_path):
     path = tmp_path / "k.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
     with pytest.raises(ImageFormatError, match="truncated"):
+        read_image(path)
+
+
+def test_truncated_ascii_rejected(tmp_path):
+    path = tmp_path / "k.pgm"
+    path.write_bytes(b"P2\n2 2\n255\n0 1 2\n")
+    with pytest.raises(ImageFormatError, match="truncated PGM data: expected 4 samples, got 3"):
         read_image(path)
 
 
@@ -396,15 +403,16 @@ def assert_dump_matches_repr(img, path):
 
 
 def test_raw_dumps_of_a_dump_roundtrip_run_match_repr(tmp_path):
-    # one disks run, three noises, k 3/5/7, mean, block mode: 35 dumped images
+    # one disks `varipix run`, three noises, k 3/5/7, mean, block mode: 35 dumped images
     src = tmp_path / "disks.pgm"
     write_pgm(fixture_images()["disks"], src)
     out_dir = tmp_path / "out"
-    cfg = PipelineConfig(
-        inputs=(src,), kernels=(3, 5, 7), statistics=("mean",), adaptive_mode="block",
-        out_dir=out_dir, dump_intermediates=True, raw_intermediates=True,
-    )
-    run_pipeline(cfg)
+    args = [
+        "run", src, "--out-dir", out_dir, "--dump-intermediates", "--raw-intermediates", "--adaptive-mode", "block",
+        "--kernel", 3, "--kernel", 5, "--kernel", 7, "--statistic", "mean",
+    ]
+    result = CliRunner().invoke(main, [str(a) for a in args])
+    assert result.exit_code == 0, result.output
     dumps = sorted(out_dir.glob("*.rawimg"))
     assert len(dumps) == 35
     for path in dumps:
@@ -440,6 +448,29 @@ def test_raw_writer_matches_repr_on_edge_cases(tmp_path, case):
     values = np.array([v for v in RAW_EDGE_CASES[case] if np.isfinite(v)], dtype=np.float64)
     assert_dump_matches_repr(values.reshape(1, -1), tmp_path / "row.rawimg")
     assert_dump_matches_repr(values.reshape(-1, 1), tmp_path / "column.rawimg")
+
+
+def test_raw_writer_rounds_exact_ties_half_to_even_as_repr_does(tmp_path, rng):
+    # In the binade [2**b, 2**(b+1)) a double is m / 2**s with s = 52 - b, and its
+    # first candidate has the k fraction digits of the smallest 10**k >= 2**s.
+    # Each odd n / 2**(k+1) lies exactly halfway between two such candidates.
+    # Where 2**s < 2 * 10**(k-1) its (k-1)-digit neighbour always round-trips,
+    # so only the other binades of the window [1e-3, 2**31) hold a tie.
+    values, places = [], []
+    for b in range(-10, 31):
+        s = 52 - b
+        k = next(k for k in range(20) if 10**k >= 2**s)
+        if 2**s >= 2 * 10 ** (k - 1):
+            odd = 2 ** (b + k)  # odd numerators in the binade
+            n = 2 ** (b + k + 1) + 2 * rng.choice(odd, min(odd, 8000), replace=False) + 1
+            values.append(np.ldexp(n.astype(np.float64), -(k + 1)))
+            places.append(np.full(n.size, k))
+    x, places = np.concatenate(values), np.concatenate(places)
+    x, places = x[x >= 1e-3], places[x >= 1e-3]
+    assert 2 * x.size >= 400_000  # both signs
+    # repr writes each with k fraction digits, so it rounds every one of them
+    assert [len(r) - r.index(".") - 1 for r in map(repr, x.tolist())] == places.tolist()
+    assert_dump_matches_repr(np.stack([x, -x]), tmp_path / "ties.rawimg")
 
 
 @settings(max_examples=200, deadline=None)

@@ -116,6 +116,11 @@ def test_validate_rejects_non_binary_cells():
     grid[0, 0] = 2
     with pytest.raises(MaskError, match="only 0 or 1"):
         Mask(grid, "custom", 0, "bad")
+    # cast to uint8 first, 257 would wrap and 1.9 truncate to 1, and 0.5 to 0
+    ones = _valid_grid() == 1
+    for cells in (np.where(ones, 257, 0), np.where(ones, 1.9, 0.0), np.where(ones, 1.0, 0.5)):
+        with pytest.raises(MaskError, match="only 0 or 1"):
+            Mask(cells, "custom", 0, "bad")
 
 
 def test_validate_rejects_empty_region():
@@ -160,11 +165,13 @@ def test_load_skips_comments_and_blank_lines(tmp_path):
         "# leading comment\n\nmask half custom 0\n"
         + "000111\n" * 6
         + "\n# trailing comment\n"
+        + "mask split custom 90\n000111\n  # inside a grid\n"
+        + "000000\n" * 5
     )
     ms = load_masks(path)
-    assert len(ms) == 1
-    assert ms[0].id == "half"
+    assert [m.id for m in ms] == ["half", "split"]
     assert ms[0].region_sizes() == (18, 18)
+    assert ms[1].region_sizes() == (33, 3)
 
 
 def test_load_rejects_all_one_region(tmp_path):
@@ -185,8 +192,12 @@ def test_load_rejects_bad_grid_row_with_line_number(tmp_path):
 def test_load_rejects_short_grid(tmp_path):
     path = tmp_path / "masks.txt"
     path.write_text("mask bad custom 0\n000111\n000111\n")
-    with pytest.raises(MaskFormatError, match="grid ended after 2"):
+    with pytest.raises(MaskFormatError, match="line 3: mask 'bad': grid ended after 2"):
         load_masks(path)
+    path.write_text("mask bad custom 0\n000111\n000111\n000111\n\nmask next custom 0\n" + "000111\n" * 6)
+    with pytest.raises(MaskFormatError, match="line 4: mask 'bad': grid ended after 3") as exc:
+        load_masks(path)
+    assert exc.value.line == 4
 
 
 def test_load_rejects_bad_header(tmp_path):

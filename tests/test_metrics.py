@@ -40,6 +40,12 @@ def test_psnr_identical_is_infinite(rng):
     assert isinstance(psnr(img, img), float)
 
 
+def test_psnr_is_minus_infinity_when_the_squared_error_overflows():
+    a, b = np.full((2, 2), 1e200), np.zeros((2, 2))
+    assert mse(a, b) == math.inf
+    assert psnr(a, b) == -math.inf
+
+
 def test_psnr_unit_mse_reference_value():
     db = psnr(np.zeros((8, 8)), np.ones((8, 8)))
     assert mse(np.zeros((8, 8)), np.ones((8, 8))) == 1.0

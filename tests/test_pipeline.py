@@ -40,6 +40,7 @@ def small_fixture():
 
 def test_format_db():
     assert format_db(math.inf) == "inf"
+    assert format_db(-math.inf) == "-inf"
     assert format_db(24.66) == "24.660000"
     assert format_db(48.130803) == "48.130803"
 
@@ -94,7 +95,7 @@ def test_pipeline_config_is_frozen_and_stores_row_order(tmp_path):
             setattr(cfg, field.name, getattr(cfg, field.name))
 
 
-def test_scan_variants_crops_to_input_shape(masks, rng):
+def test_both_scans_crop_back_to_the_input_shape(masks, rng):
     img = random_image(rng, 20, 26)
     fused = scan_parallel_fused(img, masks)
     assert scan_square(img).shape == (20, 26)
@@ -103,7 +104,7 @@ def test_scan_variants_crops_to_input_shape(masks, rng):
     assert fused.labels.dtype == np.int64
 
 
-def test_scan_variants_differ_on_structured_image(masks):
+def test_variable_scan_differs_from_the_square_scan_and_is_closer(masks):
     img = small_fixture()
     square, variable = scan_square(img), scan_parallel_fused(img, masks).image
     assert not np.array_equal(square, variable)
