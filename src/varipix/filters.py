@@ -18,14 +18,29 @@ an even-sized set takes the midpoint of the two middle values.
 
 The kernel is one loop over row bands. Each band pads its rows with its
 own k//2 halo and writes only its own output rows, so neither the band
-size nor the order the bands run in changes a bit. A median band builds
-its window stack pixel-major, (band pixels, k*k) in row-major window
-order, and sorts along the contiguous last axis. The band bounds that
-stack, and median bands run on one thread per CPU the process may use,
-because the stack build and the sort release the GIL. A mean band keeps
-the plane-by-plane accumulation, because a sum along the last axis would
-add in another order and change the bits. Its many short numpy calls
-hold the GIL between them, so mean bands run on the calling thread.
+size nor the order the bands run in changes a bit. The labels are shifted
+by their minimum into the narrowest unsigned dtype that holds their span
+(int64 stays when the span needs 64 bits), so the window compare moves one
+or two bytes per pixel, not eight.
+
+A mean band adds the k*k shifted planes in row-major window order; an
+adaptive band multiplies each plane by its bool match plane and counts the
+candidates in the smallest dtype that holds k*k. A sum along a window
+axis would add in another order and change the bits. Its many short numpy
+calls hold the GIL between them, so mean bands run on the calling thread.
+
+A median band for k <= 3 runs a selection network on whole band planes:
+Batcher's odd-even merge sort, generated in code and pruned to the output
+ranks needed (the middle one for the box filter; 0..k*k//2 for the
+adaptive filter, whose non-candidates are +inf and whose per-pixel rank is
+then picked). Min and max never round, so the network returns the sort's
+values. For larger k the pruned network makes more min/max passes than the
+sort costs, so the band builds its window stack pixel-major, (band pixels,
+k*k) in row-major window order, and sorts along the contiguous last axis.
+The band bounds that stack. Median bands run on one thread per CPU the
+process may use, because their long numpy calls release the GIL. The sort
+and the network may return different zeros when -0.0 and 0.0 tie, so a
+zero median is always written as +0.0.
 """
 
 from __future__ import annotations
@@ -53,6 +68,10 @@ DEFAULT_KERNEL = 5
 # _MEAN_BAND_PIXELS pixels, so a 240x240 fixture is one mean band.
 _MEDIAN_BAND_SAMPLES = 4096 * 49
 _MEAN_BAND_PIXELS = 65536
+# The largest k whose median runs as a selection network. From k = 5 on,
+# the pruned networks (202 and 236 min/max passes at k = 5) measured
+# slower than the sort.
+_NETWORK_MAX_K = 3
 
 
 def check_kernel(k) -> None:
@@ -100,16 +119,71 @@ def _halo(a: np.ndarray, top: int, bottom: int, pad: int) -> np.ndarray:
 def _band_mean(padded, padded_lab, anchor, k, out) -> None:
     """Mean over one band: the k*k shifted planes summed into out in row-major order."""
     h, w = out.shape
-    count = k * k if anchor is None else np.zeros((h, w), dtype=np.int64)
     out[...] = 0.0
+    if anchor is None:
+        for dy, dx in np.ndindex(k, k):
+            out += padded[dy : dy + h, dx : dx + w]
+        out /= k * k
+        return
+    count = np.zeros((h, w), dtype=np.min_scalar_type(k * k))
+    match = np.empty((h, w), dtype=bool)
+    term = np.empty((h, w))
     for dy, dx in np.ndindex(k, k):
-        win = padded[dy : dy + h, dx : dx + w]
-        if anchor is not None:
-            match = padded_lab[dy : dy + h, dx : dx + w] == anchor
-            count += match
-            win = np.where(match, win, 0.0)
-        out += win
+        np.equal(padded_lab[dy : dy + h, dx : dx + w], anchor, out=match)
+        count += match
+        # a non-candidate adds x * 0.0, which is -0.0 for a negative x; the sum
+        # starts at +0.0 and +0.0 + -0.0 == +0.0, so no bit differs from adding 0.0
+        out += np.multiply(padded[dy : dy + h, dx : dx + w], match, out=term)
     out /= count
+
+
+@functools.cache
+def _selection_network(n: int, ranks: tuple[int, ...]) -> tuple[tuple[int, int, bool, bool], ...]:
+    """Batcher's odd-even merge sort on n inputs, pruned to the output ranks given.
+
+    Each step (i, j, lo, hi) puts min(x[i], x[j]) into x[i] if lo and
+    max(x[i], x[j]) into x[j] if hi; the output a step skips is never read
+    again. The network is generated for the next power of two without the
+    comparators that reach past n, as if the missing inputs were +inf, and
+    then walked backwards from the ranks, keeping only the steps they need.
+    """
+    steps = []
+    p = 1
+    while p < n:
+        d = p
+        while d >= 1:
+            for j in range(d % p, n - d, 2 * d):
+                for i in range(j, j + min(d, n - j - d)):
+                    if i // (2 * p) == (i + d) // (2 * p):
+                        steps.append((i, i + d))
+            d //= 2
+        p *= 2
+    live = set(ranks)
+    kept = []
+    for i, j in reversed(steps):
+        if i in live or j in live:
+            kept.append((i, j, i in live, j in live))
+            live |= {i, j}
+    return tuple(reversed(kept))
+
+
+def _select(planes: list, ranks: tuple[int, ...]) -> list:
+    """The planes' per-pixel values at the ranks given, by min/max over whole planes.
+
+    Works in place: the planes must be arrays the caller owns.
+    """
+    planes = list(planes)
+    spare = np.empty_like(planes[0])
+    for i, j, lo, hi in _selection_network(len(planes), ranks):
+        a, b = planes[i], planes[j]
+        if lo and hi:
+            planes[i], spare = np.minimum(a, b, out=spare), a
+            np.maximum(a, b, out=b)
+        elif lo:
+            np.minimum(a, b, out=a)
+        else:
+            np.maximum(a, b, out=b)
+    return [planes[r] for r in ranks]
 
 
 def _rank(stack: np.ndarray, rank: np.ndarray) -> np.ndarray:
@@ -117,31 +191,76 @@ def _rank(stack: np.ndarray, rank: np.ndarray) -> np.ndarray:
     return np.take_along_axis(stack, rank[:, None], axis=1)[:, 0]
 
 
-def _band_median(padded, padded_lab, anchor, k, out) -> None:
-    """Median over one band: each pixel's k*k window is one contiguous, sorted row."""
-    h, w = out.shape
-    n = h * w
-    windows = sliding_window_view(padded, (k, k))  # (h, w, k, k), row-major window order
-    if anchor is None:
-        stack = windows.copy().reshape(n, k * k)
-        stack.sort(axis=-1)
-        out[...] = stack[:, k * k // 2].reshape(h, w)
-        return
-    match = np.empty((h, w, k, k), dtype=bool)
-    # Laid out pixel-major, computed with the image column innermost: long runs, not runs of k.
-    np.equal(
-        sliding_window_view(padded_lab, (k, k)).transpose(0, 2, 3, 1),
-        anchor[:, None, None, :],
-        out=match.transpose(0, 2, 3, 1),
-    )
-    stack = np.where(match, windows, np.inf).reshape(n, k * k)
-    count = np.einsum("ij->i", match.reshape(n, k * k), dtype=np.intp)
-    stack.sort(axis=-1)
-    mid = _rank(stack, (count - 1) // 2)
+def _middle(count: np.ndarray, value_at) -> np.ndarray:
+    """The median of count candidates per pixel; value_at(r) gives each pixel's value at rank r."""
+    mid = value_at((count - 1) // 2)
     even = count % 2 == 0
     if np.any(even):
-        mid[even] = 0.5 * (mid[even] + _rank(stack, count // 2)[even])
-    out[...] = mid.reshape(h, w)
+        mid[even] = 0.5 * (mid[even] + value_at(count // 2)[even])
+    return mid
+
+
+def _pick(planes: list, rank: np.ndarray) -> np.ndarray:
+    """planes[rank] at each pixel, by masked copies (np.choose measured 3x slower)."""
+    value = planes[0].copy()
+    for r in range(1, len(planes)):
+        np.copyto(value, planes[r], where=rank >= r)
+    return value
+
+
+def _band_median(padded, padded_lab, anchor, k, out) -> None:
+    """Median over one band, by selection network for k <= 3 and by sorting each window for larger k."""
+    h, w = out.shape
+    n = k * k
+    if k <= _NETWORK_MAX_K:
+        planes = [padded[dy : dy + h, dx : dx + w] for dy, dx in np.ndindex(k, k)]
+        if anchor is None:
+            out[...] = _select([p.copy() for p in planes], (n // 2,))[0]
+        else:
+            count = np.zeros((h, w), dtype=np.min_scalar_type(n))
+            for i, (dy, dx) in enumerate(np.ndindex(k, k)):
+                match = padded_lab[dy : dy + h, dx : dx + w] == anchor
+                count += match
+                planes[i] = np.where(match, planes[i], np.inf)
+            ranks = _select(planes, tuple(range(n // 2 + 1)))
+            out[...] = _middle(count, lambda r: _pick(ranks, r))
+    else:
+        # each pixel's k*k window is one contiguous row of the stack, sorted
+        windows = sliding_window_view(padded, (k, k))  # (h, w, k, k), row-major window order
+        if anchor is None:
+            stack = windows.copy().reshape(h * w, n)
+            stack.sort(axis=-1)
+            out[...] = stack[:, n // 2].reshape(h, w)
+        else:
+            match = np.empty((h, w, k, k), dtype=bool)
+            # Laid out pixel-major, computed with the image column innermost: long runs, not runs of k.
+            np.equal(
+                sliding_window_view(padded_lab, (k, k)).transpose(0, 2, 3, 1),
+                anchor[:, None, None, :],
+                out=match.transpose(0, 2, 3, 1),
+            )
+            stack = np.where(match, windows, np.inf).reshape(h * w, n)
+            count = np.einsum("ij->i", match.reshape(h * w, n), dtype=np.intp)
+            stack.sort(axis=-1)
+            out[...] = _middle(count, lambda r: _rank(stack, r)).reshape(h, w)
+    out += 0.0  # -0.0 + 0.0 is +0.0, and no other value changes: a zero median is always +0.0
+
+
+def _narrow(labels: np.ndarray) -> np.ndarray:
+    """labels shifted by their minimum into the narrowest unsigned dtype holding their span.
+
+    Shifting keeps every equality, and a narrower compare moves fewer
+    bytes. The cast and the subtraction wrap modulo 2**bits, which is exact
+    because the span fits. A span that needs 64 bits leaves the labels as
+    they are.
+    """
+    lo = labels.min()
+    dtype = np.min_scalar_type(int(labels.max()) - int(lo))
+    if dtype.itemsize == 8:
+        return labels
+    narrow = labels.astype(dtype)
+    narrow -= lo.astype(dtype)
+    return narrow
 
 
 def _window_filter(img: np.ndarray, labels: np.ndarray | None, k: int, statistic: str) -> np.ndarray:
@@ -157,6 +276,8 @@ def _window_filter(img: np.ndarray, labels: np.ndarray | None, k: int, statistic
     """
     h, w = img.shape
     pad = k // 2
+    if labels is not None:
+        labels = _narrow(labels)
     band = _band_mean if statistic == "mean" else _band_median
     rows = _band_rows(statistic, k, w)
     out = np.empty((h, w))

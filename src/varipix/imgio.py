@@ -52,11 +52,15 @@ class ImageFormatError(ValueError):
     """Malformed image or label-map file."""
 
 
-def as_image(data) -> GrayImage:
-    """View data as a GrayImage; rejects non-2-D or empty shapes and nan/inf samples."""
+def as_image(data, stack: bool = False) -> GrayImage:
+    """View data as a GrayImage; rejects non-2-D or empty shapes and nan/inf samples.
+
+    stack=True also takes a 3-D stack of same-shape images, (n, height, width).
+    """
     arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"image must be 2-D with samples, got shape {arr.shape}")
+    if arr.ndim not in ((2, 3) if stack else (2,)) or arr.size == 0:
+        shape = "2-D, or a 3-D stack of 2-D images," if stack else "2-D"
+        raise ValueError(f"image must be {shape} with samples, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("image has non-finite samples (nan or inf)")
     return arr

@@ -27,4 +27,7 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
         return math.inf
     if err == math.inf:  # finite samples whose squared difference overflows float64: the limit
         return -math.inf
-    return 10.0 * math.log10(PEAK * PEAK / err)
+    ratio = PEAK * PEAK / err
+    if ratio == math.inf:  # an mse below about 3.6e-304: different images, so a finite value
+        return 10.0 * (2.0 * math.log10(PEAK) - math.log10(err))
+    return 10.0 * math.log10(ratio)

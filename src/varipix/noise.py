@@ -12,7 +12,8 @@ with pairs interleaved (z0, z1, z0, z1, ...) along the row-major pixel
 stream. Salt & pepper consumes one uniform per pixel (corruption decision,
 row-major), then one extra uniform per corrupted pixel (again row-major):
 flip < 0.5 means pepper (0), otherwise salt (255). Identical inputs and
-seed give bit-identical outputs.
+seed give bit-identical outputs. A stack of same-shape images shares one
+draw: each image gets the stream a lone call on it would consume.
 """
 
 from __future__ import annotations
@@ -72,16 +73,29 @@ def apply_noise(img: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     salt_pepper corrupts each pixel to 0 or 255 (equal odds) with
     probability density; gaussian adds i.i.d. normal(0, sigma^2); speckle
     adds img * n, n ~ normal(0, variance). Both normal models clip to [0, 255].
+
+    img may also be a stack of same-shape images, (n, h, w). The draw is made
+    once, for one image, and every image in the stack gets it, so each comes
+    out bit for bit as a lone call on it would give.
     """
-    img = as_image(img)
+    img = as_image(img, stack=True)
+    shape = img.shape[-2:]
+    size = shape[0] * shape[1]
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     if spec.kind == "salt_pepper":
-        corrupt = rng.random(img.size) < spec.density
+        corrupt = rng.random(size) < spec.density
         flips = rng.random(int(corrupt.sum()))
-        out = img.flatten()
-        out[corrupt] = np.where(flips < 0.5, 0.0, 255.0)
-        return out.reshape(img.shape)
-    z = _standard_normals(rng, img.size).reshape(img.shape)
+        out = img.copy()
+        out.reshape(-1, size)[:, corrupt] = np.where(flips < 0.5, 0.0, 255.0)
+        return out
+    z = _standard_normals(rng, size).reshape(shape)
+    # The output is allocated after the draw, and the draw's one noise plane
+    # is broadcast over the stack, so no temporary is as large as the stack.
     if spec.kind == "gaussian":
-        return np.clip(img + spec.sigma * z, 0.0, 255.0)
-    return np.clip(img + img * (np.sqrt(spec.variance) * z), 0.0, 255.0)
+        z *= spec.sigma
+        out = np.add(img, z)
+    else:
+        z *= np.sqrt(spec.variance)
+        out = np.multiply(img, z)
+        np.add(img, out, out=out)
+    return np.clip(out, 0.0, 255.0, out=out)

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .filters import ADAPTIVE_MODES, DEFAULT_ADAPTIVE_MODE, DEFAULT_KERNEL, STATISTICS, check_kernel
 from .filters import adaptive_filter, box_filter
 from .imgio import read_image, read_image_header, write_labelmap, write_pgm, write_raw
@@ -131,16 +133,17 @@ def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet) -> lis
 
     square = scan_square(img)
     fused = scan_parallel_fused(img, maskset, cfg.criterion)
-    variable, labels = fused.image, fused.labels
-    dump("square", square)
-    dump("variable", variable)
+    # both scans in one stack, so that each noise kind is drawn once for the two
+    scans, labels = np.stack((square, fused.image)), fused.labels
+    del square, fused  # the stack holds the scans now
+    dump("square", scans[0])
+    dump("variable", scans[1])
     if dump_dir is not None:
         write_labelmap(labels, dump_dir / f"{name}_labels.txt")
 
     rows = []
     for kind in cfg.noise_kinds:
-        spec = cfg.noise_spec(kind)
-        noisy_square, noisy_variable = apply_noise(square, spec), apply_noise(variable, spec)
+        noisy_square, noisy_variable = apply_noise(scans, cfg.noise_spec(kind))
         dump(f"{kind}_square_noisy", noisy_square)
         dump(f"{kind}_variable_noisy", noisy_variable)
         for pipe in PIPELINES:

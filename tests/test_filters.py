@@ -352,3 +352,116 @@ def test_median_memory_is_bounded_by_the_band(monkeypatch, workers):
         finally:
             tracemalloc.stop()
         assert peak < bound, (mode, peak)
+
+
+@pytest.mark.parametrize(
+    "values, dtype",
+    [
+        ([-3, -2, 252], np.uint8),  # a span of 255 with a negative minimum
+        ([-3, 253], np.uint16),  # span 256: in 8 bits -3 and 253 would be one label
+        ([7, 65543], np.uint32),  # span 65536
+        ([0, 2**32 - 1], np.uint32),
+        ([0, 2**32], np.int64),  # a 64-bit span keeps the labels as they are
+        ([-(2**63), 2**63 - 1], np.int64),
+    ],
+)
+def test_labels_narrow_to_their_span_without_merging_any(values, dtype):
+    labels = np.array([values[::-1], values], dtype=np.int64)
+    narrow = filters._narrow(labels)
+    assert narrow.dtype == dtype
+    assert narrow.min() == 0 or dtype == np.int64
+    # same equalities as the original labels, pair by pair
+    assert np.array_equal(narrow.ravel()[:, None] == narrow.ravel(), labels.ravel()[:, None] == labels.ravel())
+
+
+@pytest.mark.parametrize("statistic", STATISTICS)
+@pytest.mark.parametrize(
+    "values",
+    [
+        (-3, -2, 252),
+        (-3, 253, 1),
+        (-70000, -4464, -4463),  # -70000 and -4464 differ by 65536
+        (0, 2**32, 1),
+        (-(2**63), 2**63 - 1, 0),
+    ],
+)
+def test_wide_label_spans_match_oracle_bit_for_bit(statistic, values):
+    gen = np.random.default_rng(len(values) + values[0] % 97)
+    img = gen.random((11, 13)) * 255.0
+    labels = gen.choice(np.array(values, dtype=np.int64), size=img.shape)
+    for k in (3, 5):
+        got = adaptive_filter(img, labels, k, statistic=statistic, mode="literal")
+        assert got.tobytes() == naive_adaptive_filter(img, labels, k, statistic).tobytes(), (values, k)
+
+
+@pytest.mark.parametrize("statistic", STATISTICS)
+def test_block_labels_past_eight_bits_match_oracle_bit_for_bit(statistic):
+    # 3 x 134 blocks: block-mode labels reach 803, so they compare as uint16
+    gen = np.random.default_rng(17)
+    img = gen.random((13, 800)) * 255.0
+    labels = gen.integers(0, 2, size=img.shape, dtype=np.int64)
+    got = adaptive_filter(img, labels, 3, statistic=statistic, mode="block")
+    assert got.tobytes() == naive_adaptive_filter(img, labels, 3, statistic, mode="block").tobytes()
+
+
+@pytest.mark.parametrize("statistic", STATISTICS)
+@pytest.mark.parametrize("mode", ADAPTIVE_MODES)
+def test_k17_counts_past_255_candidates_match_oracle_bit_for_bit(statistic, mode):
+    # 289 window pixels: a uint8 count would wrap, a narrower one than uint16 is wrong
+    gen = np.random.default_rng(289)
+    img = gen.random((19, 20)) * 255.0
+    labels = (gen.random(img.shape) < 0.05).astype(np.int64)
+    got = adaptive_filter(img, labels, 17, statistic=statistic, mode=mode)
+    assert got.tobytes() == naive_adaptive_filter(img, labels, 17, statistic, mode=mode).tobytes()
+    want = naive_adaptive_filter(img, np.zeros_like(labels), 17, statistic)
+    assert box_filter(img, 17, statistic=statistic).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_selection_network_sorts_every_zero_one_vector_at_its_ranks(n):
+    # the 0-1 principle: a comparator network that sorts every 0/1 input sorts every input
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # all 2**n inputs, one per row
+    want = np.sort(bits, axis=1)
+    for ranks in ((n // 2,), tuple(range(n // 2 + 1)), tuple(range(n))):
+        planes = [bits[:, i].astype(np.float64) for i in range(n)]
+        got = filters._select(planes, ranks)
+        for r, plane in zip(ranks, got):
+            assert np.array_equal(plane, want[:, r]), (n, ranks, r)
+
+
+def test_selection_networks_are_pruned_to_their_ranks():
+    # min/max operations per plane at n = 9, 25, 49: the middle rank, then ranks 0..n//2
+    def passes(n, ranks):
+        return sum(lo + hi for _, _, lo, hi in filters._selection_network(n, ranks))
+
+    ops = {n: [passes(n, (n // 2,)), passes(n, tuple(range(n // 2 + 1)))] for n in (9, 25, 49)}
+    assert ops == {9: [40, 46], 25: [202, 236], 49: [590, 680]}
+
+
+def test_zero_medians_are_positive_zero_and_equal_the_oracle():
+    # Which of the tied zeros the sort or the network picks is not defined, so
+    # the median writes every zero as +0.0; the oracle's stable sort may give -0.0.
+    gen = np.random.default_rng(0)
+    for _ in range(100):
+        img = gen.choice(np.array([-1.0, -0.0, 0.0, 1.0]), size=(7, 9))
+        labels = gen.integers(0, 2, size=img.shape, dtype=np.int64)
+        for k in (3, 5):
+            got = _all_filters(img, labels, k, "median")
+            for key, value in got.items():
+                if key == "box":
+                    want = naive_adaptive_filter(img, np.zeros_like(labels), k, "median")
+                else:
+                    want = naive_adaptive_filter(img, labels, k, "median", mode=key)
+                assert np.array_equal(value, want), (key, k)
+                assert not np.signbit(value[value == 0.0]).any(), (key, k)
+
+
+def test_adaptive_mean_of_negative_input_matches_oracle_bit_for_bit():
+    # a non-candidate adds x * 0.0, which is -0.0 for a negative x; the sum starts at +0.0
+    gen = np.random.default_rng(1)
+    img = gen.choice(np.array([-2.5, -1.0, -0.0, 0.0, 3.0]), size=(10, 11))
+    labels = gen.integers(0, 2, size=img.shape, dtype=np.int64)
+    for mode in ADAPTIVE_MODES:
+        for k in (3, 5):
+            got = adaptive_filter(img, labels, k, statistic="mean", mode=mode)
+            assert got.tobytes() == naive_adaptive_filter(img, labels, k, "mean", mode=mode).tobytes()

@@ -352,7 +352,7 @@ ENTRY_POINTS = {
     [
         (np.array([[1.0, np.nan], [2.0, 3.0]]), "non-finite"),
         (np.array([[1.0, 2.0], [-np.inf, 3.0]]), "non-finite"),
-        (np.zeros((2, 2, 2)), "2-D"),
+        (np.zeros((2, 2, 2, 2)), "2-D"),  # 4-D: apply_noise takes a 3-D stack of images
         (np.zeros((0, 4)), "with samples"),
     ],
 )
@@ -360,6 +360,12 @@ ENTRY_POINTS = {
 def test_library_entry_points_reject_bad_images(entry, img, message):
     with pytest.raises(ValueError, match=message):
         ENTRY_POINTS[entry](img)
+
+
+@pytest.mark.parametrize("entry", sorted(e for e in ENTRY_POINTS if not e.startswith("add_")))
+def test_entry_points_other_than_noise_reject_image_stacks(entry):
+    with pytest.raises(ValueError, match="image must be 2-D with samples"):
+        ENTRY_POINTS[entry](np.zeros((2, 2, 2)))
 
 
 @settings(max_examples=30, deadline=None)

@@ -46,6 +46,22 @@ def test_psnr_is_minus_infinity_when_the_squared_error_overflows():
     assert psnr(a, b) == -math.inf
 
 
+def test_psnr_is_finite_for_different_images_whose_mse_is_tiny():
+    # PEAK**2 / mse overflows below an mse of about 3.6e-304; the value is still finite
+    a, b = np.zeros((2, 2)), np.full((2, 2), 1e-160)
+    assert mse(a, b) == pytest.approx(1e-320, rel=1e-3)
+    assert psnr(a, b) == pytest.approx(10.0 * (2.0 * math.log10(255.0) - math.log10(mse(a, b))))
+    assert psnr(a, b) == pytest.approx(3248.13, abs=0.01)
+    assert psnr(a, np.full((2, 2), 1e-150)) == pytest.approx(3048.13, abs=0.01)
+
+
+def test_psnr_falls_with_the_mse_on_both_sides_of_the_overflow():
+    errs = [5e-324, 1e-320, 1e-310, 3.5e-304, 3.7e-304, 1e-300, 1e-10]
+    dbs = [psnr(np.zeros((1, 1)), np.array([[math.sqrt(err)]])) for err in errs]
+    assert all(math.isfinite(db) for db in dbs)
+    assert all(x > y for x, y in zip(dbs, dbs[1:]))
+
+
 def test_psnr_unit_mse_reference_value():
     db = psnr(np.zeros((8, 8)), np.ones((8, 8)))
     assert mse(np.zeros((8, 8)), np.ones((8, 8))) == 1.0

@@ -195,3 +195,27 @@ def test_noise_output_stays_in_range(seed, kind):
     assert out.min() >= 0.0
     assert out.max() <= 255.0
     assert out.shape == img.shape
+
+
+@pytest.mark.parametrize("kind", ["salt_pepper", "gaussian", "speckle"])
+def test_a_stack_gets_the_draw_of_a_lone_call_on_each_image(rng, kind):
+    # 5 x 7: an odd pixel count leaves the last normal pair half used
+    spec = NoiseSpec(kind, density=0.3, seed=9)
+    images = [random_image(rng, 5, 7) for _ in range(3)]
+    images[1][2] = 0.0
+    stack = np.stack(images)
+    copy = stack.copy()
+    got = apply_noise(stack, spec)
+    assert got.shape == stack.shape
+    assert got.tobytes() == np.stack([apply_noise(img, spec) for img in images]).tobytes()
+    assert apply_noise(stack[1:2], spec).tobytes() == apply_noise(images[1], spec).tobytes()
+    # a strided view of a stack, too
+    want = np.stack([apply_noise(images[0], spec), apply_noise(images[2], spec)])
+    assert apply_noise(stack[::2], spec).tobytes() == want.tobytes()
+    assert np.array_equal(stack, copy)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2, 2), (0, 3, 3), (2, 0, 3)])
+def test_apply_noise_rejects_shapes_other_than_images_and_stacks(shape):
+    with pytest.raises(ValueError, match="2-D, or a 3-D stack of 2-D images, with samples"):
+        apply_noise(np.zeros(shape), NoiseSpec("gaussian"))

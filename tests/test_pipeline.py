@@ -149,6 +149,28 @@ def test_evaluate_image_matches_direct_stage_composition(masks):
         assert rows[("adaptive", stat)] == psnr(img, want)
 
 
+def test_evaluate_image_draws_each_noise_once_for_both_scans(masks, monkeypatch):
+    # one apply_noise call per kind on the stacked scans, looked up in pipeline's namespace
+    from varipix import pipeline
+
+    calls = []
+
+    def counted(img, spec):
+        calls.append((np.shape(img), spec.kind))
+        return apply_noise(img, spec)
+
+    monkeypatch.setattr(pipeline, "apply_noise", counted)
+    img = small_fixture()
+    cfg = PipelineConfig(inputs=(), kernels=(3,), statistics=("mean",))
+    rows = {(r.noise, r.pipeline): r.psnr_db for r in evaluate_image("d", img, cfg, masks)}
+    assert calls == [((2, *img.shape), kind) for kind in NOISE_KINDS]
+    square, variable = scan_square(img), scan_parallel_fused(img, masks).image
+    for kind in NOISE_KINDS:
+        spec = cfg.noise_spec(kind)
+        assert rows[(kind, "square")] == psnr(img, box_filter(apply_noise(square, spec), 3))
+        assert rows[(kind, "variable")] == psnr(img, box_filter(apply_noise(variable, spec), 3))
+
+
 def test_run_pipeline_writes_sorted_csv(masks, tmp_path):
     a = tmp_path / "aaa.pgm"
     b = tmp_path / "bbb.pgm"
