@@ -33,14 +33,16 @@ A median band for k <= 3 runs a selection network on whole band planes:
 Batcher's odd-even merge sort, generated in code and pruned to the output
 ranks needed (the middle one for the box filter; 0..k*k//2 for the
 adaptive filter, whose non-candidates are +inf and whose per-pixel rank is
-then picked). Min and max never round, so the network returns the sort's
-values. For larger k the pruned network makes more min/max passes than the
-sort costs, so the band builds its window stack pixel-major, (band pixels,
-k*k) in row-major window order, and sorts along the contiguous last axis.
-The band bounds that stack. Median bands run on one thread per CPU the
-process may use, because their long numpy calls release the GIL. The sort
-and the network may return different zeros when -0.0 and 0.0 tie, so a
-zero median is always written as +0.0.
+then picked). The box filter's planes are contiguous runs of the
+flattened band, read in place: the first pass that touches a plane writes
+it into a buffer of its own. Min and max never round, so the network
+returns the sort's values. For larger k the pruned network makes more
+min/max passes than the sort costs, so the band builds its window stack
+pixel-major, (band pixels, k*k) in row-major window order, and sorts along
+the contiguous last axis. The band bounds that stack. Median bands run on
+one thread per CPU the process may use, because their long numpy calls
+release the GIL. The sort and the network may return different zeros when
+-0.0 and 0.0 tie, so a zero median is always written as +0.0.
 """
 
 from __future__ import annotations
@@ -167,22 +169,29 @@ def _selection_network(n: int, ranks: tuple[int, ...]) -> tuple[tuple[int, int, 
     return tuple(reversed(kept))
 
 
-def _select(planes: list, ranks: tuple[int, ...]) -> list:
+def _select(planes: list, ranks: tuple[int, ...], views: bool = False) -> list:
     """The planes' per-pixel values at the ranks given, by min/max over whole planes.
 
-    Works in place: the planes must be arrays the caller owns.
+    Works in place on planes the caller owns. views=True only reads the
+    planes: the first comparator that touches a plane writes it into a
+    buffer of its own, and later ones work in place.
     """
     planes = list(planes)
-    spare = np.empty_like(planes[0])
+    owned = [not views] * len(planes)
+    spare = None if views else np.empty_like(planes[0])
     for i, j, lo, hi in _selection_network(len(planes), ranks):
         a, b = planes[i], planes[j]
         if lo and hi:
-            planes[i], spare = np.minimum(a, b, out=spare), a
-            np.maximum(a, b, out=b)
+            planes[i] = np.minimum(a, b, out=spare)
+            planes[j] = np.maximum(a, b, out=b if owned[j] else None)
+            spare = a if owned[i] else None
+            owned[i] = owned[j] = True
         elif lo:
-            np.minimum(a, b, out=a)
+            planes[i] = np.minimum(a, b, out=a if owned[i] else None)
+            owned[i] = True
         else:
-            np.maximum(a, b, out=b)
+            planes[j] = np.maximum(a, b, out=b if owned[j] else None)
+            owned[j] = True
     return [planes[r] for r in ranks]
 
 
@@ -213,10 +222,15 @@ def _band_median(padded, padded_lab, anchor, k, out) -> None:
     h, w = out.shape
     n = k * k
     if k <= _NETWORK_MAX_K:
-        planes = [padded[dy : dy + h, dx : dx + w] for dy, dx in np.ndindex(k, k)]
         if anchor is None:
-            out[...] = _select([p.copy() for p in planes], (n // 2,))[0]
+            # each shifted plane as one contiguous run of the flattened band,
+            # rows `width` apart; the k - 1 samples between rows are dropped
+            width = padded.shape[1]
+            flat, size = padded.ravel(), (h - 1) * width + w
+            planes = [flat[dy * width + dx : dy * width + dx + size] for dy, dx in np.ndindex(k, k)]
+            out[...] = sliding_window_view(_select(planes, (n // 2,), views=True)[0], w)[::width]
         else:
+            planes = [padded[dy : dy + h, dx : dx + w] for dy, dx in np.ndindex(k, k)]
             count = np.zeros((h, w), dtype=np.min_scalar_type(n))
             for i, (dy, dx) in enumerate(np.ndindex(k, k)):
                 match = padded_lab[dy : dy + h, dx : dx + w] == anchor

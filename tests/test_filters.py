@@ -422,11 +422,15 @@ def test_selection_network_sorts_every_zero_one_vector_at_its_ranks(n):
     # the 0-1 principle: a comparator network that sorts every 0/1 input sorts every input
     bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # all 2**n inputs, one per row
     want = np.sort(bits, axis=1)
+    inputs = bits.T.astype(np.float64)  # one plane per input position
     for ranks in ((n // 2,), tuple(range(n // 2 + 1)), tuple(range(n))):
-        planes = [bits[:, i].astype(np.float64) for i in range(n)]
-        got = filters._select(planes, ranks)
-        for r, plane in zip(ranks, got):
-            assert np.array_equal(plane, want[:, r]), (n, ranks, r)
+        for views in (False, True):
+            planes = [p if views else p.copy() for p in inputs]
+            got = filters._select(planes, ranks, views=views)
+            for r, plane in zip(ranks, got):
+                assert np.array_equal(plane, want[:, r]), (n, ranks, r, views)
+        # planes given as views are only read
+        assert np.array_equal(inputs, bits.T)
 
 
 def test_selection_networks_are_pruned_to_their_ranks():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varipix import (
+    Mask,
     adaptive_filter,
     block_labels,
     builtin_masks,
@@ -15,7 +16,7 @@ from varipix import (
     scan_parallel_fused,
     scan_square,
 )
-from varipix.scan import BLOCK, CRITERIA, DEFAULT_CRITERION, _from_blocks, _to_blocks
+from varipix.scan import BLOCK, CRITERIA, DEFAULT_CRITERION, _from_planes, _pairwise, _to_planes
 
 from .conftest import random_image
 from .reference import (
@@ -75,18 +76,18 @@ def asym_gradient_block():
 
 def test_pad_512_to_516(masks):
     img = np.arange(512 * 512, dtype=np.float64).reshape(512, 512)
-    tensor, shape = _to_blocks(img)
+    planes, shape = _to_planes(img)
     assert shape == (512, 512)
-    assert tensor.shape == (86 * 86, BLOCK * BLOCK)
-    assert tensor.flags.c_contiguous
-    padded = _from_blocks(tensor, (516, 516))
+    assert planes.shape == (BLOCK * BLOCK, 86 * 86)
+    assert planes.flags.c_contiguous
+    padded = _from_planes(planes, (516, 516))
     assert np.array_equal(padded[:512, :512], img)
     # replicated edges repeat the last row/column
     for extra in range(512, 516):
         assert np.array_equal(padded[extra, :512], img[511])
         assert np.array_equal(padded[:512, extra], img[:, 511])
     assert np.all(padded[512:, 512:] == img[511, 511])
-    assert np.array_equal(_from_blocks(tensor, shape), img)
+    assert np.array_equal(_from_planes(planes, shape), img)
     result = scan_parallel_fused(img, masks)
     assert result.image.shape == result.labels.shape == (512, 512)
     assert result.chosen_masks.shape == (86, 86)
@@ -94,15 +95,18 @@ def test_pad_512_to_516(masks):
 
 def test_pad_multiple_is_identity(rng):
     img = random_image(rng, 510, 510)
-    tensor, shape = _to_blocks(img)
+    planes, shape = _to_planes(img)
     assert shape == (510, 510)
-    assert tensor.shape == (85 * 85, BLOCK * BLOCK)
-    # no padded samples: each row is one block of img, blocks row-major
-    assert np.array_equal(tensor[0], img[:6, :6].ravel())
-    assert np.array_equal(tensor[1], img[:6, 6:12].ravel())
-    assert np.array_equal(tensor[85], img[6:12, :6].ravel())
-    assert np.array_equal(tensor[-1], img[504:, 504:].ravel())
-    assert np.array_equal(_from_blocks(tensor, shape), img)
+    assert planes.shape == (BLOCK * BLOCK, 85 * 85)
+    assert planes.flags.c_contiguous
+    # no padded samples: each column is one block of img, blocks row-major;
+    # each row is one cell of every block, cells row-major
+    assert np.array_equal(planes[:, 0], img[:6, :6].ravel())
+    assert np.array_equal(planes[:, 1], img[:6, 6:12].ravel())
+    assert np.array_equal(planes[:, 85], img[6:12, :6].ravel())
+    assert np.array_equal(planes[:, -1], img[504:, 504:].ravel())
+    assert np.array_equal(planes[7], img[1::6, 1::6].ravel())
+    assert np.array_equal(_from_planes(planes, shape), img)
 
 
 def edge_pad(img):
@@ -390,6 +394,63 @@ def test_unequal_split_mask_file(tmp_path, rng):
     result = scan_parallel_fused(img, maskset)
     assert np.all(result.chosen_masks == 0)
     assert np.array_equal(result.image, img)
+
+
+def mixed_magnitudes(rng, *shape):
+    """Samples of both signs with magnitudes from 1e-8 to 1e8."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+
+def test_pairwise_sum_is_numpys_contiguous_row_sum_bit_for_bit():
+    # the region sums and recon errors rest on this order; a numpy that
+    # reduces a contiguous row in another order shows up here first
+    rng = np.random.default_rng(15)
+    for n in range(1, 129):
+        zeros = np.vstack([np.full((1, n), -0.0), np.zeros((1, n)), rng.choice([-0.0, 0.0], (4, n))])
+        rows = np.vstack([mixed_magnitudes(rng, 40, n), zeros])
+        planes = np.ascontiguousarray(rows.T)  # plane i holds term i of every row
+        kept = planes.copy()
+        got = _pairwise(planes, n)
+        assert got.tobytes() == rows.sum(axis=-1).tobytes(), n
+        assert not np.signbit(got[40]), n  # -0.0 terms only sum to +0.0
+        assert planes.tobytes() == kept.tobytes()  # the terms are only read
+
+
+def lopsided_masks():
+    """One mask per region-0 size, down to a single cell and up to all cells but one."""
+    order = np.random.default_rng(9).permutation(BLOCK * BLOCK)
+    masks = []
+    for n0 in (1, 2, 5, 7, 8, 9, 17, 29, 35):
+        cells = np.ones(BLOCK * BLOCK, dtype=np.uint8)
+        cells[order[:n0]] = 0
+        masks.append(Mask(cells.reshape(BLOCK, BLOCK), "custom", 0, f"region0-{n0}"))
+    return tuple(masks)
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_small_and_lopsided_regions_match_the_loop_reference_bit_for_bit(criterion):
+    maskset = lopsided_masks()
+    assert [m.region_sizes()[0] for m in maskset] == [1, 2, 5, 7, 8, 9, 17, 29, 35]
+    rng = np.random.default_rng(10)
+    images = (random_image(rng, 24, 30), mixed_magnitudes(rng, 24, 30), np.full((24, 30), -0.0))
+    for img in images:
+        result = scan_parallel_fused(img, maskset, criterion)
+        for br in range(img.shape[0] // BLOCK):
+            for bc in range(img.shape[1] // BLOCK):
+                tile = np.s_[br * BLOCK : br * BLOCK + BLOCK, bc * BLOCK : bc * BLOCK + BLOCK]
+                index, out = loop_select_apply(img[tile], maskset, criterion)
+                assert result.chosen_masks[br, bc] == index
+                assert result.image[tile].tobytes() == out.tobytes()
+                assert np.array_equal(result.labels[tile], maskset[index].cells)
+
+
+def test_negative_zero_image_scans_to_positive_zero():
+    img = np.full((13, 29), -0.0)
+    zeros = np.zeros(img.shape).tobytes()
+    assert scan_square(img).tobytes() == zeros
+    for maskset in (builtin_masks(), lopsided_masks()):
+        for criterion in CRITERIA:
+            assert scan_parallel_fused(img, maskset, criterion).image.tobytes() == zeros
 
 
 def test_fused_never_beaten_by_square(masks, rng):
