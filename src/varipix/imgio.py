@@ -45,7 +45,7 @@ from types import SimpleNamespace
 import numpy as np
 
 GrayImage = np.ndarray  # float64, shape (height, width)
-LabelMap = np.ndarray  # int64, shape (height, width)
+LabelMap = np.ndarray  # any integer dtype, shape (height, width)
 
 
 class ImageFormatError(ValueError):
@@ -67,11 +67,15 @@ def as_image(data, stack: bool = False) -> GrayImage:
 
 
 def as_labels(data, region_bits: bool = False) -> LabelMap:
-    """View data as an int64 LabelMap; rejects non-integer dtypes, and labels other than 0/1 with region_bits."""
+    """View data as a LabelMap of its own integer dtype, bool as uint8.
+
+    Rejects non-integer dtypes, and labels other than 0/1 with region_bits.
+    """
     arr = np.asarray(data)
     if arr.dtype.kind not in "biu":
         raise ValueError(f"labels must be integers, got dtype {arr.dtype}")
-    arr = arr.astype(np.int64, copy=False)
+    if arr.dtype == bool:
+        arr = arr.view(np.uint8)
     if region_bits and np.any((arr != 0) & (arr != 1)):
         raise ValueError("labels must be region bits 0 or 1")
     return arr

@@ -16,8 +16,9 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     b = as_image(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    diff = np.subtract(a, b)
     with np.errstate(over="ignore"):  # an overflow gives inf, which psnr takes to its limit
-        return float(np.mean((a - b) ** 2))
+        return float(np.mean(np.square(diff, out=diff)))
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

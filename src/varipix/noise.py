@@ -56,15 +56,27 @@ class NoiseSpec:
 
 
 def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n standard normals via Box-Muller over the uniform stream."""
+    """n standard normals via Box-Muller over the uniform stream.
+
+    The ufuncs run in place in the (pairs, 2) draw buffer, column 0 holding
+    u1 and then z0, column 1 u2 and then z1, in the order and with the
+    operands of the expressions in the module docstring, so each value has
+    their bits; only cos(angle) needs a buffer of its own. The buffer read
+    row-major is the interleaved stream.
+    """
     pairs = (n + 1) // 2
     u = rng.random((pairs, 2))
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-    angle = 2.0 * np.pi * u[:, 1]
-    z = np.empty(2 * pairs)
-    z[0::2] = radius * np.cos(angle)
-    z[1::2] = radius * np.sin(angle)
-    return z[:n]
+    radius, angle = u[:, 0], u[:, 1]
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)
+    np.multiply(-2.0, radius, out=radius)
+    np.sqrt(radius, out=radius)
+    np.multiply(2.0 * np.pi, angle, out=angle)
+    cos = np.cos(angle)
+    np.sin(angle, out=angle)
+    np.multiply(radius, angle, out=angle)
+    np.multiply(radius, cos, out=radius)
+    return u.reshape(-1)[:n]
 
 
 def apply_noise(img: np.ndarray, spec: NoiseSpec) -> np.ndarray:

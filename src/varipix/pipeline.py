@@ -131,11 +131,10 @@ def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet) -> lis
         if dump_dir is not None:
             write_image(image, dump_dir / f"{name}_{stem}{suffix}", cfg.raw_intermediates)
 
-    square = scan_square(img)
-    fused = scan_parallel_fused(img, maskset, cfg.criterion)
     # both scans in one stack, so that each noise kind is drawn once for the two
-    scans, labels = np.stack((square, fused.image)), fused.labels
-    del square, fused  # the stack holds the scans now
+    scans = np.empty((2, *np.shape(img)))
+    scan_square(img, out=scans[0])
+    labels = scan_parallel_fused(img, maskset, cfg.criterion, out=scans[1]).labels
     dump("square", scans[0])
     dump("variable", scans[1])
     if dump_dir is not None:
@@ -143,19 +142,21 @@ def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet) -> lis
 
     rows = []
     for kind in cfg.noise_kinds:
-        noisy_square, noisy_variable = apply_noise(scans, cfg.noise_spec(kind))
-        dump(f"{kind}_square_noisy", noisy_square)
-        dump(f"{kind}_variable_noisy", noisy_variable)
+        noisy = apply_noise(scans, cfg.noise_spec(kind))
+        dump(f"{kind}_square_noisy", noisy[0])
+        dump(f"{kind}_variable_noisy", noisy[1])
         for pipe in PIPELINES:
-            noisy = noisy_square if pipe == "square" else noisy_variable
+            plane = noisy[0] if pipe == "square" else noisy[1]
             for stat in cfg.statistics:
                 for k in cfg.kernels:
                     if pipe == "adaptive":
-                        filtered = adaptive_filter(noisy, labels, k, stat, cfg.adaptive_mode)
+                        filtered = adaptive_filter(plane, labels, k, stat, cfg.adaptive_mode)
                     else:
-                        filtered = box_filter(noisy, k, stat)
+                        filtered = box_filter(plane, k, stat)
                     dump(f"{kind}_{pipe}_{stat}_k{k}", filtered)
                     rows.append(PsnrRow(name, kind, pipe, stat, k, psnr(img, filtered)))
+                    del filtered  # freed before the next filter allocates its output
+        del noisy, plane  # freed before the next kind's stack is drawn
     return rows
 
 

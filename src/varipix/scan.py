@@ -7,8 +7,11 @@ The fused scan picks the best mask per block from a mask set and also
 emits the per-pixel region-label map that drives adaptive filtering.
 
 Scans take an image of any shape: its right and bottom are edge-replicated
-up to a multiple of 6, and the scanned image and labels are cropped back to
-the input's shape (chosen_masks covers the whole padded grid). Every scan
+up to a multiple of 6, and the scanned image and labels have the input's
+shape (chosen_masks covers the whole padded grid). Neither the padded
+image nor the padded scan is ever built: pixels go straight into and out
+of the plane tensor. A scan's image is written into an `out=` array the
+caller owns when one is given, and the labels are uint8. Every scan
 is one kernel over the padded image as a C-contiguous (36, blocks) tensor
 of planes: plane c holds cell c of every block, cells and blocks
 row-major; a 6x6 image is one block of the same kernel. Ordering contract:
@@ -37,8 +40,17 @@ DEFAULT_CRITERION = "recon-error"
 @dataclass
 class ScanResult:
     image: np.ndarray  # piecewise-constant within each block region
-    labels: np.ndarray  # int64 region bits, aligned with image
+    labels: np.ndarray  # uint8 region bits, aligned with image
     chosen_masks: np.ndarray  # (ceil(h/6), ceil(w/6)) winning mask indices
+
+
+def _pieces(n: int) -> list[tuple[slice, slice, int]]:
+    """An axis of n pixels as its whole blocks, then its partial last block:
+    (slice of blocks, slice of pixels, pixels per block) each, if it has pixels."""
+    whole, part = divmod(n, BLOCK)
+    cut = whole * BLOCK
+    pieces = ((slice(0, whole), slice(0, cut), BLOCK), (slice(whole, whole + 1), slice(cut, n), part))
+    return [piece for piece in pieces if piece[1].stop > piece[1].start]
 
 
 def _to_planes(img) -> tuple[np.ndarray, tuple[int, int]]:
@@ -46,31 +58,42 @@ def _to_planes(img) -> tuple[np.ndarray, tuple[int, int]]:
     C-contiguous (36, blocks) tensor: plane c holds cell c of every block,
     cells and blocks row-major; and the image's shape.
 
-    Whole blocks are copied straight from the image; only the partial last
-    block row and column are padded, so no padded copy of the image is made.
+    The image's pixels are copied straight into their cells, and the cells
+    past its bottom and right edges repeat the last row and column, so no
+    padded copy of the image is made.
     """
     img = as_image(img)
     h, w = img.shape
-    (fy, py), (fx, px) = divmod(h, BLOCK), divmod(w, BLOCK)
-    by, bx = fy + (py > 0), fx + (px > 0)
-    planes = np.empty((BLOCK, BLOCK, by, bx))
-    planes[:, :, :fy, :fx] = img[: fy * BLOCK, : fx * BLOCK].reshape(fy, BLOCK, fx, BLOCK).transpose(1, 3, 0, 2)
-    pad = ((0, -h % BLOCK), (0, -w % BLOCK))
-    if py:
-        bottom = np.pad(img[fy * BLOCK :], pad, mode="edge")
-        planes[:, :, fy] = bottom.reshape(BLOCK, bx, BLOCK).transpose(0, 2, 1)
+    grid = np.empty((BLOCK, BLOCK, -(-h // BLOCK), -(-w // BLOCK)))
+    for ys, rows, cy in _pieces(h):
+        for xs, cols, cx in _pieces(w):
+            cells = grid[:cy, :cx, ys, xs]  # (cy, cx, block rows, block columns)
+            ny, nx = cells.shape[2:]
+            cells[...] = img[rows, cols].reshape(ny, cy, nx, cx).transpose(1, 3, 0, 2)
+    py, px = h % BLOCK, w % BLOCK
+    if py:  # rows first: the column step then fills the corner from the replicated rows
+        grid[py:, :, -1] = grid[py - 1, :, -1]
     if px:
-        right = np.pad(img[:, fx * BLOCK :], pad, mode="edge")
-        planes[:, :, :, fx] = right.reshape(by, BLOCK, BLOCK).transpose(1, 2, 0)
-    return planes.reshape(BLOCK * BLOCK, by * bx), img.shape
+        grid[:, px:, :, -1] = grid[:, px - 1 : px, :, -1]
+    return grid.reshape(BLOCK * BLOCK, -1), img.shape
 
 
-def _from_planes(planes: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of _to_planes: the blocks back on their grid, cropped to shape."""
+def _from_planes(planes: np.ndarray, shape: tuple[int, int], out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of _to_planes: the blocks written into out, cells outside shape left out; returns out.
+
+    out (by default a new array) must have shape and the planes' dtype.
+    """
     h, w = shape
-    by, bx = -(-h // BLOCK), -(-w // BLOCK)
-    image = planes.reshape(BLOCK, BLOCK, by, bx).transpose(2, 0, 3, 1).reshape(by * BLOCK, bx * BLOCK)
-    return image[:h, :w]
+    grid = planes.reshape(BLOCK, BLOCK, -(-h // BLOCK), -(-w // BLOCK))
+    if out is None:
+        out = np.empty(shape, planes.dtype)
+    elif out.shape != shape or out.dtype != planes.dtype:
+        raise ValueError(f"out must be a {planes.dtype} array of shape {shape}, got {out.dtype} {out.shape}")
+    for ys, rows, cy in _pieces(h):
+        for xs, cols, cx in _pieces(w):
+            cells = grid[:cy, :cx, ys, xs].transpose(2, 0, 3, 1)  # (block rows, cy, block columns, cx)
+            out[rows, cols].reshape(cells.shape)[...] = cells  # splitting both axes is a view
+    return out
 
 
 def _pairwise(terms, n: int) -> np.ndarray:
@@ -131,24 +154,32 @@ def _select(planes: np.ndarray, maskset, criterion: str):
     return win, bits, np.where(bits == 0, means[0, win, blocks], means[1, win, blocks])
 
 
-def scan_square(img: np.ndarray) -> np.ndarray:
-    """Replace every 6x6 block with its arithmetic mean (square baseline)."""
+def scan_square(img: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Replace every 6x6 block with its arithmetic mean (square baseline).
+
+    The scan is written into out, a float64 array of img's shape, when one
+    is given, and returned; out may be img itself.
+    """
     planes, shape = _to_planes(img)
     means = _pairwise(planes, len(planes)) / len(planes)
-    return _from_planes(np.broadcast_to(means, planes.shape), shape)
+    return _from_planes(np.broadcast_to(means, planes.shape), shape, out)
 
 
-def scan_parallel_fused(img: np.ndarray, maskset: MaskSet, criterion: str = DEFAULT_CRITERION) -> ScanResult:
+def scan_parallel_fused(
+    img: np.ndarray, maskset: MaskSet, criterion: str = DEFAULT_CRITERION, out: np.ndarray | None = None
+) -> ScanResult:
     """Scan every block with every mask and keep, per block, the best one.
 
     The image holds each block rebuilt from the winning mask's two region
-    means, labels the winning region bits, and chosen_masks the winning
-    indices. A one-mask set scans the whole image with that mask.
+    means, labels the winning region bits as uint8, and chosen_masks the
+    winning indices. A one-mask set scans the whole image with that mask.
+    The image is written into out, a float64 array of img's shape, when one
+    is given; out may be img itself.
     """
     planes, shape = _to_planes(img)
     win, bits, blocks = _select(planes, maskset, criterion)
-    labels = _from_planes(bits, shape).astype(np.int64)
-    return ScanResult(_from_planes(blocks, shape), labels, win.reshape(-1, -(-shape[1] // BLOCK)))
+    labels = _from_planes(bits, shape)
+    return ScanResult(_from_planes(blocks, shape, out), labels, win.reshape(-1, -(-shape[1] // BLOCK)))
 
 
 def block_labels(labels: np.ndarray) -> np.ndarray:
@@ -156,12 +187,14 @@ def block_labels(labels: np.ndarray) -> np.ndarray:
 
     Blocks are indexed row-major over the ceil(width/6) grid that scans pad
     to, so scoping commutes with cropping. Bits other than 0 and 1 would
-    alias the next block and are rejected.
+    alias the next block and are rejected. The result has the narrowest
+    unsigned dtype that holds every block's labels.
     """
     labels = as_labels(labels, region_bits=True)
     h, w = labels.shape
     blocks_x = -(-w // BLOCK)
-    r_block = np.arange(h) // BLOCK
-    c_block = np.arange(w) // BLOCK
-    index = r_block[:, None] * blocks_x + c_block[None, :]
-    return index * 2 + labels
+    dtype = np.min_scalar_type(2 * -(-h // BLOCK) * blocks_x - 1)
+    rows = (np.arange(h) // BLOCK * (2 * blocks_x)).astype(dtype)
+    cols = (np.arange(w) // BLOCK * 2).astype(dtype)
+    out = np.add(rows[:, None], cols, dtype=dtype)
+    return np.add(out, labels, out=out, casting="unsafe")  # bits are 0 or 1, so no sum wraps

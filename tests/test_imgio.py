@@ -327,7 +327,7 @@ def test_as_image_rejects_non_finite(value):
 
 def test_as_labels_takes_integer_and_bool_dtypes_only():
     labels = as_labels(np.array([[True, False]]))
-    assert labels.dtype == np.int64 and labels.tolist() == [[1, 0]]
+    assert labels.dtype == np.uint8 and labels.tolist() == [[1, 0]]
     with pytest.raises(ValueError, match="labels must be integers"):
         as_labels(np.array([[0.0, 1.0]]))
     with pytest.raises(ValueError, match="region bits"):

@@ -101,7 +101,7 @@ def test_both_scans_crop_back_to_the_input_shape(masks, rng):
     assert scan_square(img).shape == (20, 26)
     assert fused.image.shape == (20, 26)
     assert fused.labels.shape == (20, 26)
-    assert fused.labels.dtype == np.int64
+    assert fused.labels.dtype == np.uint8
 
 
 def test_variable_scan_differs_from_the_square_scan_and_is_closer(masks):

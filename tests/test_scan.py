@@ -131,7 +131,7 @@ def test_scans_of_any_shape_equal_scanning_the_edge_padded_image_and_cropping(ma
                 got = scan_parallel_fused(img, masks, criterion)
                 want = scan_parallel_fused(padded, masks, criterion)
                 assert got.image.shape == got.labels.shape == (h, w)
-                assert got.labels.dtype == np.int64
+                assert got.labels.dtype == np.uint8
                 assert got.chosen_masks.shape == (-(-h // BLOCK), -(-w // BLOCK))
                 assert np.array_equal(got.image, want.image[:h, :w])
                 assert np.array_equal(got.labels, want.labels[:h, :w])
