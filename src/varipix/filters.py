@@ -21,7 +21,8 @@ own k//2 halo and writes only its own output rows, so neither the band
 size nor the order the bands run in changes a bit. The labels are shifted
 by their minimum into the narrowest unsigned dtype that holds their span
 (int64 stays when the span needs 64 bits), so the window compare moves one
-or two bytes per pixel, not eight.
+or two bytes per pixel, not eight. Labels already in that dtype and
+starting at 0, as a scan's uint8 bits do, are used without a copy.
 
 A mean band adds the k*k shifted planes in row-major window order; an
 adaptive band multiplies each plane by its bool match plane and counts the

@@ -14,6 +14,11 @@ row-major), then one extra uniform per corrupted pixel (again row-major):
 flip < 0.5 means pepper (0), otherwise salt (255). Identical inputs and
 seed give bit-identical outputs. A stack of same-shape images shares one
 draw: each image gets the stream a lone call on it would consume.
+
+The transform runs in place in the buffer the uniforms are drawn into,
+each ufunc with the operands and in the order of the expressions above
+(`log1p(-u1)` for ln(1 - u1)), so every normal has the bits those
+expressions give on fresh arrays; only cos(2 pi u2) has a buffer of its own.
 """
 
 from __future__ import annotations
@@ -58,11 +63,9 @@ class NoiseSpec:
 def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     """n standard normals via Box-Muller over the uniform stream.
 
-    The ufuncs run in place in the (pairs, 2) draw buffer, column 0 holding
-    u1 and then z0, column 1 u2 and then z1, in the order and with the
-    operands of the expressions in the module docstring, so each value has
-    their bits; only cos(angle) needs a buffer of its own. The buffer read
-    row-major is the interleaved stream.
+    Runs in place in the (pairs, 2) draw buffer: column 0 holds u1 and then
+    z0, column 1 holds u2 and then z1, so the buffer read row-major is the
+    interleaved stream.
     """
     pairs = (n + 1) // 2
     u = rng.random((pairs, 2))

@@ -13,6 +13,14 @@ images of the input's shape whatever its size. Rows are produced in
 statistic, kernel, the order `PipelineConfig` stores its values in; they
 are not sorted afterwards. Flagged intermediates are dumped through
 `write_image`, the writer the stage commands use too.
+
+Ownership: `evaluate_image` allocates the (2, h, w) scan stack and the
+scans write into its halves through `out=`; every other array is
+allocated by the stage that returns it. No array a stage was given or
+returned is written afterwards, so a caller that keeps one (a probe
+wrapping the stage names in this module) sees its bytes unchanged. Each
+filtered image is dropped once it is dumped and scored, and each noisy
+stack once its noise kind is done, so that only one of each is alive.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from varipix import adaptive_filter, box_filter, filters
+from varipix import adaptive_filter, block_labels, box_filter, filters, write_labelmap
 from varipix.filters import ADAPTIVE_MODES, STATISTICS
 from varipix.synth import disks
 
@@ -469,3 +469,38 @@ def test_adaptive_mean_of_negative_input_matches_oracle_bit_for_bit():
         for k in (3, 5):
             got = adaptive_filter(img, labels, k, statistic="mean", mode=mode)
             assert got.tobytes() == naive_adaptive_filter(img, labels, k, "mean", mode=mode).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 3), (17, 12), (40, 33)])
+@pytest.mark.parametrize("pad", [0, 1, 2, 3, 8])
+def test_halo_equals_np_pad_edge(shape, pad):
+    gen = np.random.default_rng(shape[0] * 100 + shape[1])
+    h = shape[0]
+    for a in (gen.random(shape), gen.integers(0, 300, size=shape, dtype=np.uint16)):
+        # bands at the top and bottom edges, in the middle, one row, and the whole image
+        for top, bottom in {(0, min(5, h)), (max(h - 5, 0), h), (h // 3, h // 3 + 1), (0, h)}:
+            rows = a[max(top - pad, 0) : min(bottom + pad, h)]
+            widths = ((max(pad - top, 0), max(bottom + pad - h, 0)), (pad, pad))
+            want = np.pad(rows, widths, mode="edge")
+            got = filters._halo(a, top, bottom, pad)
+            assert got.dtype == a.dtype and got.tobytes() == want.tobytes(), (top, bottom)
+            assert got.shape == want.shape
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint16, np.int32, np.int64])
+def test_labels_of_any_integer_dtype_give_the_same_bytes(dtype, tmp_path):
+    gen = np.random.default_rng(23)
+    img = gen.random((23, 31)) * 255.0
+    bits = gen.integers(0, 2, size=img.shape, dtype=np.int64)
+    labels = bits.astype(dtype)
+    for mode in ADAPTIVE_MODES:
+        for statistic in STATISTICS:
+            want = adaptive_filter(img, bits, 3, statistic, mode)
+            assert adaptive_filter(img, labels, 3, statistic, mode).tobytes() == want.tobytes(), (mode, statistic)
+    write_labelmap(bits, tmp_path / "int64.txt")
+    write_labelmap(labels, tmp_path / "given.txt")
+    assert (tmp_path / "given.txt").read_bytes() == (tmp_path / "int64.txt").read_bytes()
+    index = np.arange(23)[:, None] // 6 * 6 + np.arange(31) // 6  # 6 blocks per row
+    scoped = block_labels(labels)
+    assert scoped.dtype == np.uint8  # 4 x 6 blocks: labels up to 47
+    assert np.array_equal(scoped, index * 2 + bits)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varipix import NoiseSpec, apply_noise
+from varipix.noise import _standard_normals
 
 from .conftest import random_image
 
@@ -159,6 +160,17 @@ def test_apply_noise_dispatch_matches_direct(rng):
     np.testing.assert_allclose(got, np.clip(img + 5.0 * z, 0.0, 255.0), rtol=1e-12, atol=1e-9)
     got = apply_noise(img, NoiseSpec("speckle", variance=0.02, seed=9))
     np.testing.assert_allclose(got, np.clip(img + img * (np.sqrt(0.02) * z), 0.0, 255.0), rtol=1e-12, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 35, 4096, 100001])
+def test_in_place_box_muller_has_the_bits_of_the_expressions(n):
+    # the module docstring's expressions, each ufunc on fresh contiguous arrays
+    u = np.random.Generator(np.random.PCG64(n)).random(((n + 1) // 2, 2))
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+    angle = 2.0 * np.pi * u[:, 1]
+    want = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)]).ravel()[:n]
+    got = _standard_normals(np.random.Generator(np.random.PCG64(n)), n)
+    assert got.shape == (n,) and got.tobytes() == want.tobytes()
 
 
 def test_noisespec_validation():

@@ -29,6 +29,7 @@ from varipix.filters import STATISTICS
 from varipix.imgio import ImageFormatError
 from varipix.noise import NOISE_KINDS
 from varipix.pipeline import CSV_HEADER, PIPELINES, format_db, rows_to_csv
+from varipix.scan import ScanResult
 from varipix.synth import disks
 
 from .conftest import random_image
@@ -169,6 +170,43 @@ def test_evaluate_image_draws_each_noise_once_for_both_scans(masks, monkeypatch)
         spec = cfg.noise_spec(kind)
         assert rows[(kind, "square")] == psnr(img, box_filter(apply_noise(square, spec), 3))
         assert rows[(kind, "variable")] == psnr(img, box_filter(apply_noise(variable, spec), 3))
+
+
+@pytest.mark.parametrize("mode", ["literal", "block"])
+def test_evaluate_image_writes_no_array_a_stage_was_given_or_returned(masks, monkeypatch, tmp_path, mode):
+    # Wrapped as bench/tracing.py wraps them; a benchmark probe keeps stage inputs and
+    # outputs for its oracle check, so a reused buffer must not overwrite any of them.
+    from varipix import pipeline
+
+    seen = []  # (name, array, its bytes when the stage was given it or returned it)
+
+    def keep(name, value):
+        arrays = (value.image, value.labels, value.chosen_masks) if isinstance(value, ScanResult) else (value,)
+        seen.extend((name, a, a.tobytes()) for a in arrays if isinstance(a, np.ndarray))
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            for value in (*args, *(v for key, v in kwargs.items() if key != "out")):  # out is written by design
+                keep(name, value)
+            result = fn(*args, **kwargs)
+            keep(name, result)
+            return result
+
+        return wrapper
+
+    names = ("scan_square", "scan_parallel_fused", "apply_noise", "box_filter", "adaptive_filter", "psnr")
+    for name in (*names, "write_raw", "write_labelmap"):
+        monkeypatch.setattr(pipeline, name, wrap(name, getattr(pipeline, name)))
+    img = disks(40)  # partial blocks at the right and bottom
+    clean = img.copy()
+    cfg = PipelineConfig(
+        inputs=(), kernels=(3, 5), adaptive_mode=mode, out_dir=tmp_path, dump_intermediates=True, raw_intermediates=True
+    )
+    rows = evaluate_image("d", img, cfg, masks)
+    assert len(rows) == len(NOISE_KINDS) * len(PIPELINES) * 2 * 2
+    assert {name for name, _, _ in seen} >= {*names, "write_raw", "write_labelmap"}
+    assert [name for name, a, before in seen if a.tobytes() != before] == []
+    assert img.tobytes() == clean.tobytes()
 
 
 def test_run_pipeline_writes_sorted_csv(masks, tmp_path):

@@ -138,6 +138,28 @@ def test_scans_of_any_shape_equal_scanning_the_edge_padded_image_and_cropping(ma
                 assert np.array_equal(got.chosen_masks, want.chosen_masks)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (5, 7), (12, 18), (13, 20)])
+def test_scans_write_into_out_and_return_it(masks, rng, shape):
+    img = random_image(rng, *shape)
+    square, fused = scan_square(img), scan_parallel_fused(img, masks)
+    # a strided out: every other column of a wider array, the columns between untouched
+    wide = np.full((shape[0], 2 * shape[1]), -1.0)
+    assert scan_square(img, out=wide[:, ::2]).base is wide
+    assert wide[:, ::2].tobytes() == square.tobytes() and np.all(wide[:, 1::2] == -1.0)
+    out = np.empty(shape)
+    got = scan_parallel_fused(img, masks, out=out)
+    assert got.image is out and out.tobytes() == fused.image.tobytes()
+    assert got.labels.tobytes() == fused.labels.tobytes()
+    # the image is read before out is written, so a scan may overwrite its input
+    inplace = img.copy()
+    assert scan_parallel_fused(inplace, masks, out=inplace).image.tobytes() == fused.image.tobytes()
+    for bad in (np.empty((shape[0] + 1, shape[1])), np.empty(shape, dtype=np.float32)):
+        with pytest.raises(ValueError, match="out must be a float64 array"):
+            scan_square(img, out=bad)
+        with pytest.raises(ValueError, match="out must be a float64 array"):
+            scan_parallel_fused(img, masks, out=bad)
+
+
 def test_scans_reject_non_finite_samples(masks):
     img = np.zeros((6, 6))
     img[2, 3] = np.nan
@@ -502,6 +524,15 @@ def test_block_labels_formula():
     assert scoped[0, 12] == 4
     assert scoped[6, 0] == 6
     assert scoped[7, 13] == 10
+
+
+@pytest.mark.parametrize("blocks, dtype", [(1, np.uint8), (128, np.uint8), (129, np.uint16), (32769, np.uint32)])
+def test_block_labels_take_the_narrowest_unsigned_dtype(blocks, dtype):
+    labels = np.ones((1, BLOCK * blocks), dtype=np.uint8)
+    scoped = block_labels(labels)
+    assert scoped.dtype == dtype
+    assert int(scoped[0, -1]) == 2 * blocks - 1
+    assert np.array_equal(scoped, naive_block_labels(labels.astype(np.int64)))
 
 
 def test_block_labels_rejects_non_bits(rng):
