@@ -115,7 +115,7 @@ def _pool(workers: int, pid: int):
 def _halo(a: np.ndarray, top: int, bottom: int, pad: int) -> np.ndarray:
     """Rows top..bottom of a with a pad-wide halo on every side, edge-replicated outside a.
 
-    np.pad(..., mode="edge") gives the same array, but costs about five
+    np.pad(..., mode="edge") gives the same array, but costs about four
     times as much on a band of a few rows.
     """
     h, w = a.shape

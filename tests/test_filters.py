@@ -483,8 +483,7 @@ def test_halo_equals_np_pad_edge(shape, pad):
             widths = ((max(pad - top, 0), max(bottom + pad - h, 0)), (pad, pad))
             want = np.pad(rows, widths, mode="edge")
             got = filters._halo(a, top, bottom, pad)
-            assert got.dtype == a.dtype and got.tobytes() == want.tobytes(), (top, bottom)
-            assert got.shape == want.shape
+            assert (got.dtype, got.shape, got.tobytes()) == (a.dtype, want.shape, want.tobytes()), (top, bottom)
 
 
 @pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint16, np.int32, np.int64])
