@@ -18,11 +18,10 @@ an even-sized set takes the midpoint of the two middle values.
 
 The kernel is one loop over row bands. Each band pads its rows with its
 own k//2 halo and writes only its own output rows, so neither the band
-size nor the order the bands run in changes a bit. The labels are shifted
-by their minimum into the narrowest unsigned dtype that holds their span
-(int64 stays when the span needs 64 bits), so the window compare moves one
-or two bytes per pixel, not eight. Labels already in that dtype and
-starting at 0, as a scan's uint8 bits do, are used without a copy.
+size nor the order the bands run in changes a bit. Labels are compared as
+they arrive: uint8 region bits in literal mode, block_labels' narrowest
+unsigned dtype in block mode, so the window compare moves one or two bytes
+per pixel.
 
 A mean band adds the k*k shifted planes in row-major window order; an
 adaptive band multiplies each plane by its bool match plane and counts the
@@ -273,38 +272,20 @@ def _band_median(padded, padded_lab, anchor, k, out) -> None:
     out += 0.0  # -0.0 + 0.0 is +0.0, and no other value changes: a zero median is always +0.0
 
 
-def _narrow(labels: np.ndarray) -> np.ndarray:
-    """labels shifted by their minimum into the narrowest unsigned dtype holding their span.
-
-    Shifting keeps every equality, and a narrower compare moves fewer
-    bytes. The cast and the subtraction wrap modulo 2**bits, which is exact
-    because the span fits. A span that needs 64 bits leaves the labels as
-    they are, and so do labels that already start at 0 in that dtype.
-    """
-    lo = labels.min()
-    dtype = np.min_scalar_type(int(labels.max()) - int(lo))
-    if dtype.itemsize == 8 or (lo == 0 and dtype == labels.dtype):
-        return labels
-    narrow = labels.astype(dtype)
-    narrow -= lo.astype(dtype)
-    return narrow
-
-
 def _window_filter(img: np.ndarray, labels: np.ndarray | None, k: int, statistic: str) -> np.ndarray:
     """The window kernel behind both filters.
 
-    Candidates are the window pixels whose label equals the anchor's;
-    labels=None makes every pixel a candidate. A non-candidate holds the
-    statistic's neutral value: 0.0 in the mean's sum, +inf in the
-    median's sort, which puts it after every finite candidate. The output
-    rows are cut into bands (_band_rows); each band pads its rows with its
-    own k//2 halo, edge-replicated at the image border, and writes only its
-    own output rows, so the bands run in any order, on any thread.
+    Candidates are the window pixels whose label equals the anchor's,
+    compared in the labels' own unsigned dtype; labels=None makes every
+    pixel a candidate. A non-candidate holds the statistic's neutral value:
+    0.0 in the mean's sum, +inf in the median's sort, which puts it after
+    every finite candidate. The output rows are cut into bands
+    (_band_rows); each band pads its rows with its own k//2 halo,
+    edge-replicated at the image border, and writes only its own output
+    rows, so the bands run in any order, on any thread.
     """
     h, w = img.shape
     pad = k // 2
-    if labels is not None:
-        labels = _narrow(labels)
     band = _band_mean if statistic == "mean" else _band_median
     rows = _band_rows(statistic, k, w)
     out = np.empty((h, w))
@@ -352,9 +333,7 @@ def adaptive_filter(
     img = _checked(img, k, statistic)
     if mode not in ADAPTIVE_MODES:
         raise ValueError(f"unknown adaptive mode {mode!r}")
-    labels = as_labels(labels)
+    labels = (block_labels if mode == "block" else as_labels)(labels)  # either checks the bits once
     if img.shape != labels.shape:
         raise ValueError(f"image shape {img.shape} != label map shape {labels.shape}")
-    if mode == "block":
-        labels = block_labels(labels)
     return _window_filter(img, labels, k, statistic)

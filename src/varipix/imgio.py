@@ -45,7 +45,7 @@ from types import SimpleNamespace
 import numpy as np
 
 GrayImage = np.ndarray  # float64, shape (height, width)
-LabelMap = np.ndarray  # any integer dtype, shape (height, width)
+LabelMap = np.ndarray  # uint8 region bits 0/1, shape (height, width)
 
 
 class ImageFormatError(ValueError):
@@ -66,19 +66,23 @@ def as_image(data, stack: bool = False) -> GrayImage:
     return arr
 
 
-def as_labels(data, region_bits: bool = False) -> LabelMap:
-    """View data as a LabelMap of its own integer dtype, bool as uint8.
+def as_labels(data) -> LabelMap:
+    """Check data as a LabelMap of region bits; returns them as uint8.
 
-    Rejects non-integer dtypes, and labels other than 0/1 with region_bits.
+    Takes any integer or bool dtype, and rejects other dtypes, non-2-D or
+    empty shapes and labels other than 0/1. Bool is viewed, uint8 returned
+    as it is, and a wider dtype copied.
     """
     arr = np.asarray(data)
     if arr.dtype.kind not in "biu":
         raise ValueError(f"labels must be integers, got dtype {arr.dtype}")
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"labels must be 2-D with samples, got shape {arr.shape}")
     if arr.dtype == bool:
-        arr = arr.view(np.uint8)
-    if region_bits and np.any((arr != 0) & (arr != 1)):
+        return arr.view(np.uint8)
+    if arr.min() < 0 or arr.max() > 1:
         raise ValueError("labels must be region bits 0 or 1")
-    return arr
+    return arr.astype(np.uint8, copy=False)
 
 
 _KINDS = {"P5": "PGM", "P2": "PGM", "rawgray": "raw dump", "labels": "label map"}
@@ -202,7 +206,7 @@ def write_pgm(img: GrayImage, path) -> None:
 
 
 def write_labelmap(labels: LabelMap, path) -> None:
-    labels = as_labels(labels, region_bits=True)
+    labels = as_labels(labels)
     h, w = labels.shape
     text = np.full((h, 2 * w), ord(" "), dtype=np.uint8)
     text[:, ::2] = labels + ord("0")
@@ -217,7 +221,7 @@ def read_labelmap(path) -> LabelMap:
         magic, w, h, _ = _read_header(fh, path, ("labels",))
         labels = _grid_samples(fh, magic, w, h, "labels", np.int64, "non-integer label")
     try:
-        return as_labels(labels, region_bits=True)
+        return as_labels(labels)
     except ValueError as exc:
         raise ImageFormatError(f"malformed label map: {exc}") from None
 

@@ -190,11 +190,11 @@ def block_labels(labels: np.ndarray) -> np.ndarray:
     alias the next block and are rejected. The result has the narrowest
     unsigned dtype that holds every block's labels.
     """
-    labels = as_labels(labels, region_bits=True)
+    labels = as_labels(labels)
     h, w = labels.shape
     blocks_x = -(-w // BLOCK)
     dtype = np.min_scalar_type(2 * -(-h // BLOCK) * blocks_x - 1)
     rows = (np.arange(h) // BLOCK * (2 * blocks_x)).astype(dtype)
     cols = (np.arange(w) // BLOCK * 2).astype(dtype)
     out = np.add(rows[:, None], cols, dtype=dtype)
-    return np.add(out, labels, out=out, casting="unsafe")  # bits are 0 or 1, so no sum wraps
+    return np.add(out, labels, out=out)

@@ -354,44 +354,29 @@ def test_median_memory_is_bounded_by_the_band(monkeypatch, workers):
         assert peak < bound, (mode, peak)
 
 
-@pytest.mark.parametrize(
-    "values, dtype",
-    [
-        ([-3, -2, 252], np.uint8),  # a span of 255 with a negative minimum
-        ([-3, 253], np.uint16),  # span 256: in 8 bits -3 and 253 would be one label
-        ([7, 65543], np.uint32),  # span 65536
-        ([0, 2**32 - 1], np.uint32),
-        ([0, 2**32], np.int64),  # a 64-bit span keeps the labels as they are
-        ([-(2**63), 2**63 - 1], np.int64),
-    ],
-)
-def test_labels_narrow_to_their_span_without_merging_any(values, dtype):
-    labels = np.array([values[::-1], values], dtype=np.int64)
-    narrow = filters._narrow(labels)
-    assert narrow.dtype == dtype
-    assert narrow.min() == 0 or dtype == np.int64
-    # same equalities as the original labels, pair by pair
-    assert np.array_equal(narrow.ravel()[:, None] == narrow.ravel(), labels.ravel()[:, None] == labels.ravel())
+@pytest.mark.parametrize("mode", ADAPTIVE_MODES)
+def test_adaptive_rejects_labels_other_than_region_bits(rng, mode):
+    # literal mode compares labels as uint8 bits, so a 2 or a 2**32 must not reach it
+    img = random_image(rng, 6, 12)
+    cases = [(bad, np.int64) for bad in (-1, 2, 255, 2**32)] + [(2, np.uint8)]
+    for bad, dtype in cases:
+        labels = np.zeros(img.shape, dtype=dtype)
+        labels[3, 7] = bad
+        with pytest.raises(ValueError, match="region bits 0 or 1"):
+            adaptive_filter(img, labels, 3, mode=mode)
 
 
-@pytest.mark.parametrize("statistic", STATISTICS)
-@pytest.mark.parametrize(
-    "values",
-    [
-        (-3, -2, 252),
-        (-3, 253, 1),
-        (-70000, -4464, -4463),  # -70000 and -4464 differ by 65536
-        (0, 2**32, 1),
-        (-(2**63), 2**63 - 1, 0),
-    ],
-)
-def test_wide_label_spans_match_oracle_bit_for_bit(statistic, values):
-    gen = np.random.default_rng(len(values) + values[0] % 97)
-    img = gen.random((11, 13)) * 255.0
-    labels = gen.choice(np.array(values, dtype=np.int64), size=img.shape)
-    for k in (3, 5):
-        got = adaptive_filter(img, labels, k, statistic=statistic, mode="literal")
-        assert got.tobytes() == naive_adaptive_filter(img, labels, k, statistic).tobytes(), (values, k)
+@pytest.mark.parametrize("shape", [(0, 3), (5,), (2, 3, 4)])
+def test_label_maps_that_are_not_2d_with_samples_are_rejected(rng, tmp_path, shape):
+    labels = np.zeros(shape, dtype=np.int64)
+    with pytest.raises(ValueError, match="labels must be 2-D with samples"):
+        block_labels(labels)
+    with pytest.raises(ValueError, match="labels must be 2-D with samples"):
+        write_labelmap(labels, tmp_path / "l.txt")
+    assert not (tmp_path / "l.txt").exists()
+    for mode in ADAPTIVE_MODES:
+        with pytest.raises(ValueError, match="labels must be 2-D with samples"):
+            adaptive_filter(random_image(rng, 4, 4), labels, 3, mode=mode)
 
 
 @pytest.mark.parametrize("statistic", STATISTICS)

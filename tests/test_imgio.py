@@ -165,7 +165,7 @@ def test_labelmap_round_trip(tmp_path, rng):
     path = tmp_path / "a.labels"
     write_labelmap(labels, path)
     back = read_labelmap(path)
-    assert back.dtype == np.int64
+    assert back.dtype == np.uint8
     assert np.array_equal(back, labels)
 
 
@@ -331,7 +331,17 @@ def test_as_labels_takes_integer_and_bool_dtypes_only():
     with pytest.raises(ValueError, match="labels must be integers"):
         as_labels(np.array([[0.0, 1.0]]))
     with pytest.raises(ValueError, match="region bits"):
-        as_labels(np.array([[0, 2]], dtype=np.uint8), region_bits=True)
+        as_labels(np.array([[0, 2]], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint16, np.int32, np.int64])
+def test_as_labels_returns_uint8_bits(dtype):
+    given = np.array([[0, 1, 1], [1, 0, 0]]).astype(dtype)
+    labels = as_labels(given)
+    assert labels.dtype == np.uint8 and labels.tolist() == given.astype(int).tolist()
+    # uint8 is the same array and bool a view of it; a wider dtype is narrowed into a copy
+    assert (labels is given) == (dtype == np.uint8)
+    assert np.shares_memory(labels, given) == (dtype in (bool, np.uint8))
 
 
 ENTRY_POINTS = {
