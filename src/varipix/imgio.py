@@ -32,9 +32,17 @@ writes only the values outside it. The only powers of two in that range,
 2**-1 to 2**-9, are exact at their first candidate, so their lopsided
 rounding interval never matters.
 The bytes are laid out as four-digit ASCII words with NUL padding, which is
-deleted, and written 4096 values at a time: with 16384 or more values per
-chunk (float64 temporaries of 128 KB or more) each value cost 1.6-2.3x as
-much on a 2-core x86 host, and the whole-file buffer would raise peak memory.
+deleted, and written 16384 values at a time, so a chunk's float64 temporaries
+are 128 KB. What a chunk size costs depends on glibc's dynamic mmap and trim
+thresholds: until the process has freed a larger block, blocks that size are
+mapped or trimmed away and their fresh pages faulted in again on every chunk.
+On a 2-core x86 host, a long-lived process wrote the 35 dumps of a
+`dump_roundtrip` job in 16-20% less time with 16384 values per chunk than
+with 4096, and in 35-38% more with 65536. A fresh-process `varipix run` with
+raw dumps took the same time with 4096 or 16384, but a fresh process that
+writes a single 240x240 dump spent 23.4 ms in this writer against 20.4 ms in
+the previous 4096-value one, because nothing it freed before had raised the
+thresholds.
 """
 
 from __future__ import annotations
@@ -226,7 +234,7 @@ def read_labelmap(path) -> LabelMap:
         raise ImageFormatError(f"malformed label map: {exc}") from None
 
 
-_CHUNK = 4096  # values per write; see the module docstring
+_CHUNK = 16384  # values per write; see the module docstring
 _U64 = np.uint64
 _M32, _S32, _ONE, _TEN = _U64(0xFFFFFFFF), _U64(32), _U64(1), _U64(10)
 
@@ -237,17 +245,19 @@ def _tables() -> SimpleNamespace:
 
     words: '<u4' ASCII words "0000".."9999"; k, pow5, shift: per s, the
     smallest k with 10**k >= 2**s (it always round-trips), 5**k and s - k;
-    pow10: int64 10**e for e < 19 (every D < 10**18); blank: per j, the
-    '<u4' mask that makes a word's first j bytes NUL.
+    pow10: int64 10**e for e < 19 (every D < 10**18); blank: per width
+    n <= 5 words (k <= 19) and j <= 4*n, the n '<u4' masks that make the
+    first j bytes of n words NUL.
     """
     i = np.arange(10000)
     words = sum((i // 10**p % 10 + ord("0")) << 8 * (3 - p) for p in range(4)).astype("<u4")
     k0 = [next(k for k in range(20) if 10**k >= 2**s) for s in range(64)]
     k, pow5, shift = (np.array(col, dtype=np.uint64) for col in zip(*[(k, 5**k, s - k) for s, k in enumerate(k0)]))
+    blank = np.array([0xFFFFFFFF, 0xFFFFFF00, 0xFFFF0000, 0xFF000000, 0], dtype="<u4")  # per j <= 4: first j bytes NUL
     return SimpleNamespace(
         words=words, k=k, pow5=pow5, shift=shift,
         pow10=np.array([10**e for e in range(19)], dtype=np.int64),
-        blank=np.array([0xFFFFFFFF, 0xFFFFFF00, 0xFFFF0000, 0xFF000000, 0], dtype="<u4"),
+        blank=[blank[np.clip(np.arange(4 * n + 1)[:, None] - np.arange(0, 4 * n, 4), 0, 4)] for n in range(6)],
     )
 
 
@@ -267,11 +277,14 @@ def _shortest(m, s, tables):
     q10 = q // _TEN
     last = q - q10 * _TEN
     up = last >= _U64(5)
-    err = np.where(up, ((_TEN - last) << t) - r, (last << t) + r)  # to the nearest multiple of 10, times 2**t
+    # up and shorter are near random, so select by modular uint64 blends, b + c * (a - b), not np.where
+    err = (last << t) + r
+    err += up * (((_TEN - last) << t) - r - err)  # to the nearest multiple of 10, times 2**t
     shorter = err + err < p
     half = unit >> _ONE
     nearest = (r > half) | ((r == half) & ((q & _ONE) == _ONE))  # a tie rounds half to even, as repr does
-    d = np.where(shorter, q10 + up, q + nearest)
+    d = q + nearest
+    d += shorter * ((q10 + up) - d)
     k = k - shorter
     # a shorter candidate is unique; each trailing zero it has is one digit fewer
     z = np.flatnonzero(d == d // _TEN * _TEN)
@@ -291,7 +304,8 @@ def _digit_words(v, keep, nwords: int, tables) -> np.ndarray:
         q = v // 10000
         out[:, g] = tables.words[v - q * 10000]
         v = q
-    return out & tables.blank[np.clip((4 * nwords - keep)[:, None] - np.arange(0, 4 * nwords, 4), 0, 4)]
+    out &= tables.blank[nwords][4 * nwords - keep]
+    return out
 
 
 def _format_raw(x, sep, tables) -> bytes:

@@ -456,6 +456,13 @@ RAW_EDGE_CASES = {
     "short_decimals": edges(0.1, 0.3, 0.1 + 0.2, 2 / 3, 85.25, 1e-3 * 7, 123456.789, 2.0**31 - 0.5),
     # the only non-integral powers of two in the fast domain: a lopsided rounding interval, exact digits
     "fast_domain_powers_of_two": [sign * 2.0**-e for e in range(1, 10) for sign in (1, -1)],
+    # whole parts on each side of a new four-digit word, and reprs with 4, 5, 8, 9, 12, 13, 16 and 17
+    # fraction digits: the digit counts and leading-NUL masks change word there
+    "digit_word_boundaries": edges(
+        9999.5, 10000.25, 99999999.5, 1e8 + 0.5, 999999999.5, 1e9 + 0.5, 2.0**31 - 0.25,
+        0.1234, 0.12345, 0.12345678, 0.123456789, 0.123456789012, 0.1234567890123,
+        0.1234567890123456, 0.12345678901234566,
+    ),
 }
 
 
@@ -528,6 +535,33 @@ def test_raw_writer_matches_repr_across_row_and_chunk_ends(tmp_path, rng, shape)
     flat[5 :: 211] = 2.0**-20  # repr-written, so spliced in
     flat[_CHUNK - 1 :: _CHUNK] = -1e-7  # repr-written, at the end of each chunk
     assert_dump_matches_repr(img, tmp_path / "t.rawimg")
+
+
+def test_raw_bytes_do_not_depend_on_the_chunk_size(tmp_path, rng, monkeypatch):
+    # 2400 x 7 values: 7 divides none of the chunk sizes, and the last chunk of 4096 or 16384 is short.
+    # Per 4096 values: negatives or not, whole parts of 1 to `digits` digits and a few special
+    # values, so the sign column comes and goes and the grid width changes from chunk to chunk.
+    segments = []
+    for negatives, digits, special in [
+        (True, 1, [1e-7]),
+        (False, 10, [1e300, 2.0**31 - 0.25, 1e9 + 0.5]),
+        (True, 5, [1e-7, 1e300]),
+        (False, 3, []),
+        (False, 1, []),
+    ]:
+        v = rng.random(4096) * 10.0 ** rng.integers(0, digits + 1, 4096)
+        v[::13] = np.round(v[::13])  # integral
+        v[7 : 7 + 101 * len(special) : 101] = special  # repr-written, or 10-digit whole parts
+        if negatives:
+            v[::3] = -v[::3]
+        segments.append(v)
+    img = np.concatenate(segments)[: 2400 * 7].reshape(2400, 7)
+    assert img.size > _CHUNK
+    expected = repr_dump(img)
+    for size in (1, 5, 4096, _CHUNK):
+        monkeypatch.setattr("varipix.imgio._CHUNK", size)
+        write_raw(img, tmp_path / "t.rawimg")
+        assert (tmp_path / "t.rawimg").read_bytes() == expected, size
 
 
 def test_header_check_reads_no_samples_and_shares_the_readers_messages(tmp_path):
