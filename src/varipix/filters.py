@@ -23,26 +23,38 @@ they arrive: uint8 region bits in literal mode, block_labels' narrowest
 unsigned dtype in block mode, so the window compare moves one or two bytes
 per pixel.
 
-A mean band adds the k*k shifted planes in row-major window order; an
-adaptive band multiplies each plane by its bool match plane and counts the
-candidates in the smallest dtype that holds k*k. A sum along a window
-axis would add in another order and change the bits. Its many short numpy
-calls hold the GIL between them, so mean bands run on the calling thread.
+Every plane-major band reads its k*k shifted planes in one layout
+(_runs). The halo band is flattened, and each plane, in row-major window
+order, is one contiguous run of it, read in place: output pixel (y, x)
+sits at y * width + x of every run, width being the halo band's row
+length, and the k - 1 samples between two output rows are computed and
+dropped. The center run holds the anchors. One cut,
+sliding_window_view(run, w)[::width], takes the band's output rows back
+out of a result run. Min and max measured twice as fast on contiguous
+runs as on 2-D strided views.
 
-A median band for k <= 3 runs a selection network on whole band planes:
-Batcher's odd-even merge sort, generated in code and pruned to the output
-ranks needed (the middle one for the box filter; 0..k*k//2 for the
-adaptive filter, whose non-candidates are +inf and whose per-pixel rank is
-then picked). The box filter's planes are contiguous runs of the
-flattened band, read in place: the first pass that touches a plane writes
-it into a buffer of its own. Min and max never round, so the network
-returns the sort's values. For larger k the pruned network makes more
-min/max passes than the sort costs, so the band builds its window stack
-pixel-major, (band pixels, k*k) in row-major window order, and sorts along
-the contiguous last axis. The band bounds that stack. Median bands run on
-one thread per CPU the process may use, because their long numpy calls
-release the GIL. The sort and the network may return different zeros when
--0.0 and 0.0 tie, so a zero median is always written as +0.0.
+A mean band adds the runs into one accumulator run in row-major window
+order; an adaptive band multiplies each run by its bool match run and
+counts the candidates in the smallest dtype that holds k*k. A sum along a
+window axis would add in another order and change the bits. Its many
+short numpy calls hold the GIL between them, so mean bands run on the
+calling thread.
+
+A median band for k <= 3 runs a selection network on the runs: Batcher's
+odd-even merge sort, generated in code and pruned to the output ranks
+needed (the middle one for the box filter; 0..k*k//2 for the adaptive
+filter, whose non-candidates are +inf and whose per-pixel rank is then
+picked). The box filter's network reads the runs in place: the first
+pass that touches a run writes it into a buffer of its own. Min and max
+never round, so the network returns the sort's values. For larger k the
+pruned network makes more min/max passes than the sort costs, so the
+band builds its window stack pixel-major, (band pixels, k*k) in row-major
+window order, takes its anchors from the center of the halo band, and
+sorts along the contiguous last axis. The band bounds that stack. Median
+bands run on one thread per CPU the process may use, because their long
+numpy calls release the GIL. The sort and the network may return
+different zeros when -0.0 and 0.0 tie, so a zero median is always
+written as +0.0.
 """
 
 from __future__ import annotations
@@ -130,25 +142,39 @@ def _halo(a: np.ndarray, top: int, bottom: int, pad: int) -> np.ndarray:
     return out
 
 
-def _band_mean(padded, padded_lab, anchor, k, out) -> None:
-    """Mean over one band: the k*k shifted planes summed into out in row-major order."""
-    h, w = out.shape
-    out[...] = 0.0
-    if anchor is None:
-        for dy, dx in np.ndindex(k, k):
-            out += padded[dy : dy + h, dx : dx + w]
-        out /= k * k
-        return
-    count = np.zeros((h, w), dtype=np.min_scalar_type(k * k))
-    match = np.empty((h, w), dtype=bool)
-    term = np.empty((h, w))
-    for dy, dx in np.ndindex(k, k):
-        np.equal(padded_lab[dy : dy + h, dx : dx + w], anchor, out=match)
-        count += match
-        # a non-candidate adds x * 0.0, which is -0.0 for a negative x; the sum
-        # starts at +0.0 and +0.0 + -0.0 == +0.0, so no bit differs from adding 0.0
-        out += np.multiply(padded[dy : dy + h, dx : dx + w], match, out=term)
-    out /= count
+def _runs(padded: np.ndarray, k: int) -> list:
+    """A halo band's k*k shifted planes in row-major window order, as contiguous runs of the flattened band.
+
+    Output pixel (y, x) sits at y * width + x of every run, width being the
+    halo band's row length; sliding_window_view(run, w)[::width] cuts the
+    (h, w) output back out of a run.
+    """
+    width, flat = padded.shape[1], padded.ravel()
+    size = flat.size - (k - 1) * (width + 1)  # the last run ends where the band ends
+    return [flat[dy * width + dx : dy * width + dx + size] for dy, dx in np.ndindex(k, k)]
+
+
+def _band_mean(padded, padded_lab, k, out) -> None:
+    """Mean over one band: the k*k shifted runs summed in row-major window order."""
+    planes = _runs(padded, k)
+    total = np.zeros_like(planes[0])
+    if padded_lab is None:
+        for plane in planes:
+            total += plane
+        total /= k * k
+    else:
+        labs = _runs(padded_lab, k)
+        count = np.zeros(total.shape, dtype=np.min_scalar_type(k * k))
+        match = np.empty(total.shape, dtype=bool)
+        term = np.empty_like(total)
+        for plane, lab in zip(planes, labs):
+            np.equal(lab, labs[k * k // 2], out=match)  # the center run is the anchor
+            count += match
+            # a non-candidate adds x * 0.0, which is -0.0 for a negative x; the sum
+            # starts at +0.0 and +0.0 + -0.0 == +0.0, so no bit differs from adding 0.0
+            total += np.multiply(plane, match, out=term)
+        total /= count
+    out[...] = sliding_window_view(total, out.shape[1])[:: padded.shape[1]]
 
 
 @functools.cache
@@ -229,35 +255,33 @@ def _pick(planes: list, rank: np.ndarray) -> np.ndarray:
     return value
 
 
-def _band_median(padded, padded_lab, anchor, k, out) -> None:
+def _band_median(padded, padded_lab, k, out) -> None:
     """Median over one band, by selection network for k <= 3 and by sorting each window for larger k."""
     h, w = out.shape
     n = k * k
     if k <= _NETWORK_MAX_K:
-        if anchor is None:
-            # each shifted plane as one contiguous run of the flattened band,
-            # rows `width` apart; the k - 1 samples between rows are dropped
-            width = padded.shape[1]
-            flat, size = padded.ravel(), (h - 1) * width + w
-            planes = [flat[dy * width + dx : dy * width + dx + size] for dy, dx in np.ndindex(k, k)]
-            out[...] = sliding_window_view(_select(planes, (n // 2,), views=True)[0], w)[::width]
+        planes = _runs(padded, k)
+        if padded_lab is None:
+            median = _select(planes, (n // 2,), views=True)[0]
         else:
-            planes = [padded[dy : dy + h, dx : dx + w] for dy, dx in np.ndindex(k, k)]
-            count = np.zeros((h, w), dtype=np.min_scalar_type(n))
-            for i, (dy, dx) in enumerate(np.ndindex(k, k)):
-                match = padded_lab[dy : dy + h, dx : dx + w] == anchor
+            labs = _runs(padded_lab, k)
+            count = np.zeros(planes[0].shape, dtype=np.min_scalar_type(n))
+            for i, lab in enumerate(labs):
+                match = lab == labs[n // 2]  # the center run is the anchor
                 count += match
                 planes[i] = np.where(match, planes[i], np.inf)
             ranks = _select(planes, tuple(range(n // 2 + 1)))
-            out[...] = _middle(count, lambda r: _pick(ranks, r))
+            median = _middle(count, lambda r: _pick(ranks, r))
+        out[...] = sliding_window_view(median, w)[:: padded.shape[1]]
     else:
         # each pixel's k*k window is one contiguous row of the stack, sorted
         windows = sliding_window_view(padded, (k, k))  # (h, w, k, k), row-major window order
-        if anchor is None:
+        if padded_lab is None:
             stack = windows.copy().reshape(h * w, n)
             stack.sort(axis=-1)
             out[...] = stack[:, n // 2].reshape(h, w)
         else:
+            anchor = padded_lab[k // 2 : k // 2 + h, k // 2 : k // 2 + w]
             match = np.empty((h, w, k, k), dtype=bool)
             # Laid out pixel-major, computed with the image column innermost: long runs, not runs of k.
             np.equal(
@@ -293,10 +317,8 @@ def _window_filter(img: np.ndarray, labels: np.ndarray | None, k: int, statistic
     def run(tops: range) -> None:
         for top in tops:
             bottom = min(top + rows, h)
-            padded_lab = anchor = None
-            if labels is not None:
-                padded_lab, anchor = _halo(labels, top, bottom, pad), labels[top:bottom]
-            band(_halo(img, top, bottom, pad), padded_lab, anchor, k, out[top:bottom])
+            padded_lab = None if labels is None else _halo(labels, top, bottom, pad)
+            band(_halo(img, top, bottom, pad), padded_lab, k, out[top:bottom])
 
     tops = range(0, h, rows)
     # A mean band makes ~4*k*k short numpy calls and holds the GIL between

@@ -219,6 +219,16 @@ def test_huge_finite_median_does_not_overflow():
 @example(1, 13, 5, "median", "literal", True, 0)
 @example(11, 1, 7, "mean", "block", False, 1)
 @example(2, 3, 9, "median", "block", True, 2)
+# one row (each shifted run is a single output row) or one column (output rows
+# only 1 + 2 * (k // 2) samples apart in a run)
+@example(1, 9, 3, "mean", "literal", False, 3)
+@example(1, 9, 3, "mean", "block", True, 4)
+@example(1, 9, 3, "median", "literal", True, 5)
+@example(1, 9, 3, "median", "block", False, 6)
+@example(9, 1, 3, "mean", "literal", True, 7)
+@example(9, 1, 3, "mean", "block", False, 8)
+@example(9, 1, 3, "median", "literal", False, 9)
+@example(9, 1, 3, "median", "block", True, 10)
 def test_filters_match_oracle_bit_for_bit(h, w, k, statistic, mode, integer_valued, seed):
     gen = np.random.default_rng(seed)
     img = gen.random((h, w)) * 255.0
@@ -226,10 +236,11 @@ def test_filters_match_oracle_bit_for_bit(h, w, k, statistic, mode, integer_valu
         img = np.floor(img / 32.0)  # eight levels, so windows hold rank ties
     labels = gen.integers(0, 2, size=(h, w), dtype=np.int64)
     got = adaptive_filter(img, labels, k, statistic=statistic, mode=mode)
-    assert np.array_equal(got, naive_adaptive_filter(img, labels, k, statistic, mode=mode))
+    assert got.tobytes() == naive_adaptive_filter(img, labels, k, statistic, mode=mode).tobytes()
     # the box filter is the adaptive filter whose labels are all equal
     flat = np.zeros((h, w), dtype=np.int64)
-    assert np.array_equal(box_filter(img, k, statistic=statistic), naive_adaptive_filter(img, flat, k, statistic))
+    box = box_filter(img, k, statistic=statistic)
+    assert box.tobytes() == naive_adaptive_filter(img, flat, k, statistic).tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -352,6 +363,28 @@ def test_median_memory_is_bounded_by_the_band(monkeypatch, workers):
         finally:
             tracemalloc.stop()
         assert peak < bound, (mode, peak)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mean_memory_is_bounded_by_the_band(monkeypatch, workers):
+    # A mean without bands would hold about 4.8 image sizes at k = 7; the
+    # banded mean holds the output and one band's runs, accumulator and scratch.
+    monkeypatch.setattr(filters, "_worker_count", lambda: workers)
+    gen = np.random.default_rng(3)
+    img = gen.random((600, 600)) * 255.0
+    labels = gen.integers(0, 2, size=(600, 600), dtype=np.int64)
+    bound = 2.5 * img.nbytes
+    for mode in (None, *ADAPTIVE_MODES):
+        tracemalloc.start()
+        try:
+            if mode is None:
+                box_filter(img, 7, statistic="mean")
+            else:
+                adaptive_filter(img, labels, 7, statistic="mean", mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (mode, peak / img.nbytes)
 
 
 @pytest.mark.parametrize("mode", ADAPTIVE_MODES)
