@@ -36,9 +36,7 @@ runs as on 2-D strided views.
 A mean band adds the runs into one accumulator run in row-major window
 order; an adaptive band multiplies each run by its bool match run and
 counts the candidates in the smallest dtype that holds k*k. A sum along a
-window axis would add in another order and change the bits. Its many
-short numpy calls hold the GIL between them, so mean bands run on the
-calling thread.
+window axis would add in another order and change the bits.
 
 A median band for k <= 3 runs a selection network on the runs: Batcher's
 odd-even merge sort, generated in code and pruned to the output ranks
@@ -50,17 +48,19 @@ never round, so the network returns the sort's values. For larger k the
 pruned network makes more min/max passes than the sort costs, so the
 band builds its window stack pixel-major, (band pixels, k*k) in row-major
 window order, takes its anchors from the center of the halo band, and
-sorts along the contiguous last axis. The band bounds that stack. Median
-bands run on one thread per CPU the process may use, because their long
-numpy calls release the GIL. The sort and the network may return
-different zeros when -0.0 and 0.0 tie, so a zero median is always
-written as +0.0.
+sorts along the contiguous last axis. The band bounds that stack. The
+sort and the network may return different zeros when -0.0 and 0.0 tie,
+so a zero median is always written as +0.0.
+
+A filter call runs its bands one after another on the calling thread.
+The pipeline runs whole filter calls in parallel, as tasks
+(pipeline._run_tasks): a whole call's long numpy calls release the GIL,
+where a mean band's short ones held it.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -105,22 +105,6 @@ def _band_rows(statistic: str, k: int, w: int) -> int:
     """Output rows per band, at least one."""
     pixels = _MEAN_BAND_PIXELS if statistic == "mean" else _MEDIAN_BAND_SAMPLES // (k * k)
     return max(1, pixels // w)
-
-
-def _worker_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-@functools.cache
-def _pool(workers: int, pid: int):
-    """A thread pool kept for the process; a forked child gets its own (pid)."""
-    from concurrent.futures import ThreadPoolExecutor  # lazily: it adds ~6 ms to import time
-
-    return ThreadPoolExecutor(workers, thread_name_prefix="varipix-band")
 
 
 def _halo(a: np.ndarray, top: int, bottom: int, pad: int) -> np.ndarray:
@@ -306,31 +290,17 @@ def _window_filter(img: np.ndarray, labels: np.ndarray | None, k: int, statistic
     every finite candidate. The output rows are cut into bands
     (_band_rows); each band pads its rows with its own k//2 halo,
     edge-replicated at the image border, and writes only its own output
-    rows, so the bands run in any order, on any thread.
+    rows, so the band height never changes a bit.
     """
     h, w = img.shape
     pad = k // 2
     band = _band_mean if statistic == "mean" else _band_median
     rows = _band_rows(statistic, k, w)
     out = np.empty((h, w))
-
-    def run(tops: range) -> None:
-        for top in tops:
-            bottom = min(top + rows, h)
-            padded_lab = None if labels is None else _halo(labels, top, bottom, pad)
-            band(_halo(img, top, bottom, pad), padded_lab, k, out[top:bottom])
-
-    tops = range(0, h, rows)
-    # A mean band makes ~4*k*k short numpy calls and holds the GIL between
-    # them, so a second thread mostly waits; a median band mostly sorts,
-    # with the GIL released. The calling thread takes its share of bands.
-    workers = 1 if statistic == "mean" else min(_worker_count(), len(tops))
-    helpers = [_pool(workers - 1, os.getpid()).submit(run, tops[i::workers]) for i in range(1, workers)]
-    try:
-        run(tops[::workers])
-    finally:
-        for helper in helpers:
-            helper.result()
+    for top in range(0, h, rows):
+        bottom = min(top + rows, h)
+        padded_lab = None if labels is None else _halo(labels, top, bottom, pad)
+        band(_halo(img, top, bottom, pad), padded_lab, k, out[top:bottom])
     return out
 
 

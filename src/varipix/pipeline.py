@@ -14,17 +14,32 @@ statistic, kernel, the order `PipelineConfig` stores its values in; they
 are not sorted afterwards. Flagged intermediates are dumped through
 `write_image`, the writer the stage commands use too.
 
+Tasks: for each noise kind, the filter-and-score calls, one per
+(pipeline, statistic, kernel), are tasks on one shared list, longest
+first (medians, then larger kernels). The calling thread and one pooled
+helper per further CPU pull them; each task filters, dumps its filtered
+image and scores it, and its row goes back to its index, so the bytes of
+`psnr.csv` and of every dump do not depend on the thread count. The
+filters' long numpy calls release the GIL, so the tasks overlap. A
+helper joins only lists that hold a median task. This is the one layer
+of threads: a filter runs its bands on the thread that called it.
+
 Ownership: `evaluate_image` allocates the (2, h, w) scan stack and the
 scans write into its halves through `out=`; every other array is
 allocated by the stage that returns it. No array a stage was given or
 returned is written afterwards, so a caller that keeps one (a probe
 wrapping the stage names in this module) sees its bytes unchanged. Each
-filtered image is dropped once it is dumped and scored, and each noisy
-stack once its noise kind is done, so that only one of each is alive.
+filtered image is dropped once it is dumped and scored, each noisy stack
+once its noise kind is done, and the scan stack once the last noise kind
+is drawn, so that one noisy stack is alive, and one filtered image and
+one PSNR difference per worker.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -130,6 +145,55 @@ def write_image(img, path, raw: bool) -> None:
     (write_raw if raw else write_pgm)(img, path)
 
 
+def _worker_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _pool(workers: int, pid: int):
+    """A thread pool kept for the process; a forked child gets its own (pid)."""
+    from concurrent.futures import ThreadPoolExecutor  # lazily: it adds ~6 ms to import time
+
+    return ThreadPoolExecutor(workers, thread_name_prefix="varipix-task")
+
+
+def _run_tasks(task, order: list[int], workers: int) -> list:
+    """task(i) for every i in order, pulled by the calling thread and workers - 1 pooled helpers.
+
+    Returns the results by index. After the first failure no further task
+    is handed out; once every helper is done, that first failure is raised.
+    """
+    results = [None] * len(order)
+    todo = iter(order)
+    failed = []
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if failed else next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = task(i)
+            except BaseException as exc:  # raised below, on the calling thread
+                with lock:
+                    failed.append(exc)
+                return
+
+    helpers = [_pool(workers - 1, os.getpid()).submit(work) for _ in range(workers - 1)]
+    work()
+    for helper in helpers:
+        helper.result()
+    if failed:
+        raise failed[0]
+    return results
+
+
 def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet) -> list[PsnrRow]:
     """All PSNR rows for one clean image under one configuration, in `psnr.csv` order."""
     dump_dir = Path(cfg.out_dir) if cfg.dump_intermediates else None
@@ -148,23 +212,32 @@ def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet) -> lis
     if dump_dir is not None:
         write_labelmap(labels, dump_dir / f"{name}_labels.txt")
 
+    tasks = [(pipe, stat, k) for pipe in PIPELINES for stat in cfg.statistics for k in cfg.kernels]
+    # longest first: medians, then larger k; the sort is stable, so ties stay in row order
+    order = sorted(range(len(tasks)), key=lambda i: (tasks[i][1] != "median", -tasks[i][2]))
+    # On mean-only lists a helper cost more peak memory (its malloc arena, one
+    # more filtered image, a second dump writer) than it saved time.
+    workers = min(_worker_count(), len(tasks)) if "median" in cfg.statistics else 1
     rows = []
     for kind in cfg.noise_kinds:
         noisy = apply_noise(scans, cfg.noise_spec(kind))
+        if kind == cfg.noise_kinds[-1]:
+            del scans  # dead after the last draw
         dump(f"{kind}_square_noisy", noisy[0])
         dump(f"{kind}_variable_noisy", noisy[1])
-        for pipe in PIPELINES:
+
+        def score(i: int) -> PsnrRow:
+            pipe, stat, k = tasks[i]
             plane = noisy[0] if pipe == "square" else noisy[1]
-            for stat in cfg.statistics:
-                for k in cfg.kernels:
-                    if pipe == "adaptive":
-                        filtered = adaptive_filter(plane, labels, k, stat, cfg.adaptive_mode)
-                    else:
-                        filtered = box_filter(plane, k, stat)
-                    dump(f"{kind}_{pipe}_{stat}_k{k}", filtered)
-                    rows.append(PsnrRow(name, kind, pipe, stat, k, psnr(img, filtered)))
-                    del filtered  # freed before the next filter allocates its output
-        del noisy, plane  # freed before the next kind's stack is drawn
+            if pipe == "adaptive":
+                filtered = adaptive_filter(plane, labels, k, stat, cfg.adaptive_mode)
+            else:
+                filtered = box_filter(plane, k, stat)
+            dump(f"{kind}_{pipe}_{stat}_k{k}", filtered)
+            return PsnrRow(name, kind, pipe, stat, k, psnr(img, filtered))
+
+        rows += _run_tasks(score, order, workers)
+        del noisy  # freed before the next kind's stack is drawn
     return rows
 
 

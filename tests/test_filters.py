@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 import tracemalloc
 
 import numpy as np
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 
 from varipix import adaptive_filter, block_labels, box_filter, filters, write_labelmap
 from varipix.filters import ADAPTIVE_MODES, STATISTICS
-from varipix.synth import disks
 
 from .conftest import random_image, random_labels
 from .reference import naive_adaptive_filter
@@ -292,11 +290,9 @@ def test_band_height_and_worker_count_never_change_a_bit(monkeypatch, k, statist
     want["box"] = naive_adaptive_filter(img, np.zeros_like(labels), k, statistic)
     for rows in (h + 1, 1, 7):
         monkeypatch.setattr(filters, "_band_rows", lambda statistic, k, w, rows=rows: rows)
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(filters, "_worker_count", lambda workers=workers: workers)
-            got = _all_filters(img, labels, k, statistic)
-            for key, value in got.items():
-                assert value.tobytes() == want[key].tobytes(), (key, rows, workers)
+        got = _all_filters(img, labels, k, statistic)
+        for key, value in got.items():
+            assert value.tobytes() == want[key].tobytes(), (key, rows)
 
 
 def test_band_rows_floor_at_one_row_when_a_row_outgrows_the_band(monkeypatch):
@@ -313,41 +309,9 @@ def test_band_rows_floor_at_one_row_when_a_row_outgrows_the_band(monkeypatch):
             assert got[mode].tobytes() == naive_adaptive_filter(img, labels, 3, statistic, mode=mode).tobytes()
 
 
-def test_one_and_two_workers_agree_on_a_fixture_at_default_band_sizes(monkeypatch):
-    img = np.clip(disks() + np.random.default_rng(7).normal(0.0, 20.0, (240, 240)), 0.0, 255.0)
-    labels = (disks() > 128).astype(np.int64)
-    for k in (1, 3, 5, 7, 9):
-        for statistic in STATISTICS:
-            results = []
-            for workers in (1, 2):
-                monkeypatch.setattr(filters, "_worker_count", lambda workers=workers: workers)
-                results.append({key: v.tobytes() for key, v in _all_filters(img, labels, k, statistic).items()})
-            assert results[0] == results[1], (k, statistic)
-
-
-def test_threaded_bands_under_frequent_thread_switches(monkeypatch):
-    # More workers than cores, one-row bands and a short switch interval: a
-    # band written twice, skipped or written by the wrong thread shows here.
-    gen = np.random.default_rng(11)
-    img = gen.random((64, 40)) * 255.0
-    labels = gen.integers(0, 2, size=(64, 40), dtype=np.int64)
-    want = {key: v.tobytes() for key, v in _all_filters(img, labels, 5, "median").items()}
-    monkeypatch.setattr(filters, "_band_rows", lambda statistic, k, w: 1)
-    monkeypatch.setattr(filters, "_worker_count", lambda: 5)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            assert {key: v.tobytes() for key, v in _all_filters(img, labels, 5, "median").items()} == want
-    finally:
-        sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_median_memory_is_bounded_by_the_band(monkeypatch, workers):
+def test_median_memory_is_bounded_by_the_band():
     # The whole-image k = 7 window stack is 49 * 240 * 240 * 8 bytes (~22.6 MB);
-    # the banded median holds one band stack per worker.
-    monkeypatch.setattr(filters, "_worker_count", lambda: workers)
+    # the banded median holds one band stack.
     gen = np.random.default_rng(3)
     img = gen.random((240, 240)) * 255.0
     labels = gen.integers(0, 2, size=(240, 240), dtype=np.int64)
@@ -365,11 +329,9 @@ def test_median_memory_is_bounded_by_the_band(monkeypatch, workers):
         assert peak < bound, (mode, peak)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_mean_memory_is_bounded_by_the_band(monkeypatch, workers):
+def test_mean_memory_is_bounded_by_the_band():
     # A mean without bands would hold about 4.8 image sizes at k = 7; the
     # banded mean holds the output and one band's runs, accumulator and scratch.
-    monkeypatch.setattr(filters, "_worker_count", lambda: workers)
     gen = np.random.default_rng(3)
     img = gen.random((600, 600)) * 255.0
     labels = gen.integers(0, 2, size=(600, 600), dtype=np.int64)

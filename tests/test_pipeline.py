@@ -5,9 +5,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from varipix import (
     NoiseSpec,
@@ -18,6 +22,7 @@ from varipix import (
     box_filter,
     builtin_masks,
     evaluate_image,
+    pipeline,
     psnr,
     read_image,
     run_pipeline,
@@ -25,12 +30,13 @@ from varipix import (
     scan_square,
     write_pgm,
 )
-from varipix.filters import STATISTICS
+from varipix.cli import main
+from varipix.filters import ADAPTIVE_MODES, STATISTICS
 from varipix.imgio import ImageFormatError
 from varipix.noise import NOISE_KINDS
 from varipix.pipeline import CSV_HEADER, PIPELINES, format_db, rows_to_csv
 from varipix.scan import ScanResult
-from varipix.synth import disks
+from varipix.synth import disks, fixture_images
 
 from .conftest import random_image
 
@@ -380,3 +386,161 @@ def test_dumped_raw_intermediates_match_stage_values(masks, tmp_path):
     assert np.array_equal(read_image(out_dir / "disks_gaussian_variable_noisy.rawimg"), noisy)
     filtered = adaptive_filter(noisy, labels, 3, "mean", "literal")
     assert np.array_equal(read_image(out_dir / "disks_gaussian_adaptive_mean_k3.rawimg"), filtered)
+
+
+def _fixture_crops(tmp_path):
+    """40x46 crops of the five fixtures: partial 6x6 blocks at the right and bottom."""
+    paths = []
+    for name, img in fixture_images().items():
+        paths.append(tmp_path / f"{name}.pgm")
+        write_pgm(img[50:90, 60:106], paths[-1])
+    return tuple(paths)
+
+
+@pytest.mark.parametrize("mode", ADAPTIVE_MODES)
+def test_worker_count_never_changes_a_byte_of_psnr_csv_or_the_dumps(monkeypatch, tmp_path, mode):
+    inputs = _fixture_crops(tmp_path)
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(pipeline, "_worker_count", lambda workers=workers: workers)
+        out_dir = tmp_path / f"workers{workers}"
+        run_pipeline(PipelineConfig(
+            inputs=inputs, kernels=(3, 5), adaptive_mode=mode, out_dir=out_dir,
+            dump_intermediates=True, raw_intermediates=True,
+        ))
+        outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    # per image: two scans and the labels, then per noise kind two noisy scans and 12 filtered images
+    assert len(outputs[0]) == 1 + 5 * (3 + len(NOISE_KINDS) * (2 + 12))
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def test_tasks_under_frequent_thread_switches(monkeypatch, masks):
+    # More workers than cores and a short switch interval: a row lost, scored
+    # twice or sent back to the wrong index shows here.
+    img = fixture_images()["pinwheel"][:64, :40]
+    cfg = PipelineConfig(inputs=(), kernels=(1, 3, 5))
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: 1)
+    want = evaluate_image("p", img, cfg, masks)
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            assert evaluate_image("p", img, cfg, masks) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_the_first_failure_stops_the_tasks_and_is_raised_once():
+    calls = []
+
+    def task(i):
+        calls.append(i)
+        if i >= 3:
+            raise ValueError(i)
+        return i
+
+    with pytest.raises(ValueError, match="^3$"):
+        pipeline._run_tasks(task, list(range(8)), 1)
+    assert calls == [0, 1, 2, 3]
+    calls.clear()
+
+    def failing(i):
+        calls.append(i)
+        raise ValueError(i)
+
+    with pytest.raises(ValueError) as err:
+        pipeline._run_tasks(failing, list(range(8)), 2)
+    # each worker stops at its own failure, and none takes a task after the first
+    assert 1 <= len(calls) <= 2 and err.value.args[0] in calls
+
+
+def test_a_dump_that_fails_on_a_helper_thread_exits_3_and_leaves_no_task_running(monkeypatch, tmp_path):
+    path = tmp_path / "d.pgm"
+    write_pgm(small_fixture(), path)
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: 2)
+    write = pipeline.write_image
+    failed_on, running = [], []
+
+    def write_image(img, out, raw):
+        # The caller holds its first filtered dump until a helper's dump has
+        # failed, so the failing dump, the last task on the list, runs on the helper.
+        if threading.current_thread() is threading.main_thread() and "_k3" in out.name:
+            assert helper_failed.wait(30)
+        try:
+            write(img, out, raw)
+        except OSError:
+            failed_on.append(threading.current_thread().name)
+            helper_failed.set()
+            raise
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            running.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                running.remove(fn)
+
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "write_image", write_image)
+    for name in ("box_filter", "adaptive_filter", "psnr"):
+        monkeypatch.setattr(pipeline, name, counted(getattr(pipeline, name)))
+    for via_cli in (False, True):
+        helper_failed = threading.Event()
+        failed_on.clear()
+        out_dir = tmp_path / f"out{int(via_cli)}"
+        (out_dir / "d_gaussian_adaptive_mean_k3.pgm").mkdir(parents=True)  # the last task: means after medians
+        if via_cli:
+            result = CliRunner().invoke(main, ["run", str(path), "--out-dir", str(out_dir), "--noise", "gaussian",
+                                               "--kernel", "3", "--dump-intermediates"])
+            assert result.exit_code == 3, result.output
+        else:
+            with pytest.raises(OSError):
+                run_pipeline(PipelineConfig(
+                    inputs=(path,), noise_kinds=("gaussian",), kernels=(3,), out_dir=out_dir, dump_intermediates=True
+                ))
+        assert len(failed_on) == 1 and failed_on[0].startswith("varipix-task"), failed_on
+        assert running == []  # every helper was done before the error reached the caller
+        assert not (out_dir / "psnr.csv").exists()
+
+
+def test_one_worker_starts_no_pool_thread(monkeypatch, masks):
+    def no_pool(*args):
+        raise AssertionError("a pool was asked for")
+
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: 1)
+    monkeypatch.setattr(pipeline, "_pool", no_pool)
+    before = set(threading.enumerate())
+    rows = evaluate_image("d", small_fixture(), PipelineConfig(inputs=(), kernels=(3, 5)), masks)
+    assert len(rows) == len(NOISE_KINDS) * len(PIPELINES) * len(STATISTICS) * 2
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize(
+    "workers, noise_kinds, bound",
+    [(1, NOISE_KINDS, 6.3), (2, NOISE_KINDS, 8.3), (2, ("gaussian",), 6.3)],
+    ids=["one-worker", "two-workers", "two-workers-one-noise"],
+)
+def test_evaluate_image_memory_is_one_filtered_image_and_one_difference_per_worker(
+    monkeypatch, masks, workers, noise_kinds, bound
+):
+    # In image sizes above the clean image: the scan stack (2) until the last
+    # noise kind is drawn, one noisy stack (2), the labels (0.125), and per
+    # worker one filtered image (1) and one PSNR difference (1), so 6.13 on
+    # one worker and 8.13 on two, and 6.13 for one noise kind on two workers
+    # (the scan stack is gone before its tasks). Up to 0.12 more is the
+    # interpreter's own bookkeeping (obmalloc's arena map), which tracemalloc
+    # counts when a new arena lands in an unmapped address range.
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: workers)
+    img = disks(1024)[:, :1022].copy()
+    cfg = PipelineConfig(inputs=(), noise_kinds=noise_kinds, kernels=(3, 7))
+    tracemalloc.start()
+    try:
+        evaluate_image("d", img, cfg, masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * img.nbytes, peak / img.nbytes
