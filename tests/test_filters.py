@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from varipix import adaptive_filter, block_labels, box_filter, filters, write_labelmap
+from varipix import adaptive_filter, block_labels, box_filter, filters, pipeline, write_labelmap
 from varipix.filters import ADAPTIVE_MODES, STATISTICS
 
 from .conftest import random_image, random_labels
@@ -309,9 +309,23 @@ def test_band_rows_floor_at_one_row_when_a_row_outgrows_the_band(monkeypatch):
             assert got[mode].tobytes() == naive_adaptive_filter(img, labels, 3, statistic, mode=mode).tobytes()
 
 
-def test_median_memory_is_bounded_by_the_band():
+def _filter_on_threads(workers, img, labels, statistic, mode):
+    """The same k = 7 filter call as `workers` pipeline tasks, one per thread at once."""
+
+    def task(i):
+        if mode is None:
+            return box_filter(img, 7, statistic=statistic)
+        return adaptive_filter(img, labels, 7, statistic=statistic, mode=mode)
+
+    pipeline._run_tasks(task, list(range(workers)), workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_median_memory_is_bounded_by_the_band(workers):
     # The whole-image k = 7 window stack is 49 * 240 * 240 * 8 bytes (~22.6 MB);
-    # the banded median holds one band stack.
+    # the banded median holds one band stack per filtering thread, so two
+    # filters at once (the pipeline's calling thread and a helper) stay
+    # under the same quarter of one whole-image stack.
     gen = np.random.default_rng(3)
     img = gen.random((240, 240)) * 255.0
     labels = gen.integers(0, 2, size=(240, 240), dtype=np.int64)
@@ -319,30 +333,26 @@ def test_median_memory_is_bounded_by_the_band():
     for mode in (None, *ADAPTIVE_MODES):
         tracemalloc.start()
         try:
-            if mode is None:
-                box_filter(img, 7, statistic="median")
-            else:
-                adaptive_filter(img, labels, 7, statistic="median", mode=mode)
+            _filter_on_threads(workers, img, labels, "median", mode)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < bound, (mode, peak)
 
 
-def test_mean_memory_is_bounded_by_the_band():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mean_memory_is_bounded_by_the_band(workers):
     # A mean without bands would hold about 4.8 image sizes at k = 7; the
-    # banded mean holds the output and one band's runs, accumulator and scratch.
+    # banded mean holds the output and one band's runs, accumulator and scratch,
+    # under 2.5 image sizes on each thread that filters at once.
     gen = np.random.default_rng(3)
     img = gen.random((600, 600)) * 255.0
     labels = gen.integers(0, 2, size=(600, 600), dtype=np.int64)
-    bound = 2.5 * img.nbytes
+    bound = 2.5 * img.nbytes * workers
     for mode in (None, *ADAPTIVE_MODES):
         tracemalloc.start()
         try:
-            if mode is None:
-                box_filter(img, 7, statistic="mean")
-            else:
-                adaptive_filter(img, labels, 7, statistic="mean", mode=mode)
+            _filter_on_threads(workers, img, labels, "mean", mode)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
