@@ -31,18 +31,19 @@ approach of Ryu and Schubfach). This exact path takes 0.0 and -0.0, integral
 writes only the values outside it. The only powers of two in that range,
 2**-1 to 2**-9, are exact at their first candidate, so their lopsided
 rounding interval never matters.
-The bytes are laid out as four-digit ASCII words with NUL padding, which is
-deleted, and written 16384 values at a time, so a chunk's float64 temporaries
-are 128 KB. What a chunk size costs depends on glibc's dynamic mmap and trim
-thresholds: until the process has freed a larger block, blocks that size are
-mapped or trimmed away and their fresh pages faulted in again on every chunk.
-On a 2-core x86 host, a long-lived process wrote the 35 dumps of a
-`dump_roundtrip` job in 16-20% less time with 16384 values per chunk than
-with 4096, and in 35-38% more with 65536. A fresh-process `varipix run` with
-raw dumps took the same time with 4096 or 16384, but a fresh process that
-writes a single 240x240 dump spent 23.4 ms in this writer against 20.4 ms in
-the previous 4096-value one, because nothing it freed before had raised the
-thresholds.
+The bytes are laid out as four-digit ASCII words with NUL padding, one
+row of words per column of the dump, and written 16384 values at a time.
+A write_raw call allocates its work arrays once, for one chunk: eight
+uint64 rows that every stage reuses through `out=`, five bool rows and
+the text rows. Each chunk's text is copied out and its NULs deleted 2048
+values at a time. So no chunk allocates a large array. One 240x240 dump
+has a traced peak of 1.86 MB for the largest of the 35 dumps of a
+`dump_roundtrip` job, and 1.93 MB for the widest rows (signed 10-digit
+whole parts, 17 fraction digits), against 3.91 MB with temporaries per
+chunk. A larger chunk makes fewer numpy calls per value, and each call
+on a chunk-sized array hands the GIL to a task thread that waits for it:
+on a 2-core x86 host, two threads writing dumps at once with 8192 values
+per chunk ran no faster than one thread writing them all.
 """
 
 from __future__ import annotations
@@ -235,6 +236,7 @@ def read_labelmap(path) -> LabelMap:
 
 
 _CHUNK = 16384  # values per write; see the module docstring
+_PIECE = 2048  # values whose text is copied out and stripped of its NUL padding at a time
 _U64 = np.uint64
 _M32, _S32, _ONE, _TEN = _U64(0xFFFFFFFF), _U64(32), _U64(1), _U64(10)
 
@@ -243,11 +245,12 @@ _M32, _S32, _ONE, _TEN = _U64(0xFFFFFFFF), _U64(32), _U64(1), _U64(10)
 def _tables() -> SimpleNamespace:
     """Lookup tables, built on first use rather than at import.
 
-    words: '<u4' ASCII words "0000".."9999"; k, pow5, shift: per s, the
-    smallest k with 10**k >= 2**s (it always round-trips), 5**k and s - k;
-    pow10: int64 10**e for e < 19 (every D < 10**18); blank: per width
-    n <= 5 words (k <= 19) and j <= 4*n, the n '<u4' masks that make the
-    first j bytes of n words NUL.
+    words: '<u4' ASCII words "0000".."9999", and short: the same words with
+    their leading zeros NUL, "0" kept; k, pow5, shift: per s, the smallest k
+    with 10**k >= 2**s (it always round-trips), 5**k and s - k; pow10: int64
+    10**e for e < 19 (every D < 10**18); blank: per width n <= 5 words
+    (k <= 19) and j <= 4*n, the n '<u4' masks that make the first j bytes of
+    n words NUL.
     """
     i = np.arange(10000)
     words = sum((i // 10**p % 10 + ord("0")) << 8 * (3 - p) for p in range(4)).astype("<u4")
@@ -256,87 +259,181 @@ def _tables() -> SimpleNamespace:
     blank = np.array([0xFFFFFFFF, 0xFFFFFF00, 0xFFFF0000, 0xFF000000, 0], dtype="<u4")  # per j <= 4: first j bytes NUL
     return SimpleNamespace(
         words=words, k=k, pow5=pow5, shift=shift,
+        short=words & blank[4 - sum(i >= 10**p for p in range(4)) - (i == 0)],
         pow10=np.array([10**e for e in range(19)], dtype=np.int64),
         blank=[blank[np.clip(np.arange(4 * n + 1)[:, None] - np.arange(0, 4 * n, 4), 0, 4)] for n in range(6)],
     )
 
 
-def _shortest(m, s, tables):
-    """Shortest round-trip digits of m / 2**s (m < 2**53, 22 <= s <= 62) as D / 10**k."""
-    k, p, t = tables.k[s], tables.pow5[s], tables.shift[s]
-    # m * 5**k as hi * 2**64 + lo, from 32-bit halves
-    a0, a1, b0, b1 = m & _M32, m >> _S32, p & _M32, p >> _S32
-    lo = a0 * b0
-    mid = (lo >> _S32) + a1 * b0 + a0 * b1
-    lo = (lo & _M32) | (mid << _S32)
-    hi = a1 * b1 + (mid >> _S32)
+def _work(n: int) -> SimpleNamespace:
+    """The work arrays of one write_raw call, for chunks of up to n values.
+
+    pool: eight uint64 rows, also viewed as int64 and float64, that every
+    stage of a chunk reuses; flags: five bool rows; text: the chunk's digit
+    words, one row per column of the dump, grown to the widest chunk
+    written.
+    """
+    pool = np.empty((8, n), dtype=np.uint64)
+    return SimpleNamespace(
+        pool=pool, ipool=pool.view(np.int64), fpool=pool.view(np.float64),
+        flags=np.empty((5, n), dtype=bool), text=np.empty(0, dtype="<u4"),
+    )
+
+
+def _shortest(m, s, tables, work):
+    """Shortest round-trip digits of m / 2**s (m < 2**53, 22 <= s <= 62) as D / 10**k.
+
+    m is row 0 of the work pool and s row 1, viewed as int64; D comes back in
+    row 0 and k in row 2. Rows 1 to 7 and flags 2 to 4 are overwritten.
+    """
+    n = m.size
+    _, a, k, p, t, b, c, e = (row[:n] for row in work.pool)
+    up, shorter, flag = (row[:n] for row in work.flags[2:])
+    for table, out in ((tables.k, k), (tables.pow5, p), (tables.shift, t)):
+        np.take(table, s, out=out, mode="clip")  # "clip" writes out directly; s is in range
+    # m * 5**k as hi * 2**64 + lo, from the 32-bit halves a0, a1 of m and b0, b1 of 5**k
+    np.bitwise_and(m, _M32, out=a)  # a0
+    m >>= _S32  # a1
+    np.bitwise_and(p, _M32, out=b)  # b0
+    lo = np.multiply(a, b, out=c)  # a0 * b0
+    mid = np.right_shift(lo, _S32, out=e)
+    mid += np.multiply(m, b, out=b)  # a1 * b0
+    np.right_shift(p, _S32, out=b)  # b1
+    mid += np.multiply(a, b, out=a)  # a0 * b1
+    lo &= _M32
+    lo |= np.left_shift(mid, _S32, out=a)
+    hi = np.multiply(m, b, out=m)  # a1 * b1
+    mid >>= _S32
+    hi += mid
     # x * 10**k = q + r / 2**t; a candidate round-trips iff it lies within 5**k / 2**(t+1) of it
-    q = (hi << (_U64(64) - t)) | (lo >> t)
-    unit = _ONE << t
-    r = lo & (unit - _ONE)
-    q10 = q // _TEN
-    last = q - q10 * _TEN
-    up = last >= _U64(5)
+    q = np.left_shift(hi, np.subtract(_U64(64), t, out=a), out=m)
+    q |= np.right_shift(lo, t, out=a)
+    half = np.left_shift(_ONE, t, out=b)
+    r = np.bitwise_and(lo, np.subtract(half, _ONE, out=a), out=lo)
+    half >>= _ONE
+    q10 = np.floor_divide(q, _TEN, out=e)
+    last = np.subtract(q, np.multiply(q10, _TEN, out=a), out=a)
+    np.greater_equal(last, _U64(5), out=up)
+    # the nearest candidate; a tie rounds half to even, as repr does
+    np.equal(r, half, out=flag)
+    np.greater(r, half, out=shorter)
+    nearest = np.bitwise_and(q, _ONE, out=b)
+    nearest *= flag
+    nearest |= shorter
+    d = q
+    d += nearest
     # up and shorter are near random, so select by modular uint64 blends, b + c * (a - b), not np.where
-    err = (last << t) + r
-    err += up * (((_TEN - last) << t) - r - err)  # to the nearest multiple of 10, times 2**t
-    shorter = err + err < p
-    half = unit >> _ONE
-    nearest = (r > half) | ((r == half) & ((q & _ONE) == _ONE))  # a tie rounds half to even, as repr does
-    d = q + nearest
-    d += shorter * ((q10 + up) - d)
-    k = k - shorter
+    err = np.left_shift(last, t, out=b)
+    err += r
+    blend = np.subtract(_TEN, last, out=a)
+    blend <<= t
+    blend -= r
+    blend -= err
+    blend *= up
+    err += blend  # to the nearest multiple of 10, times 2**t
+    err += err
+    np.less(err, p, out=shorter)
+    q10 += up
+    q10 -= d
+    q10 *= shorter
+    d += q10
+    k -= shorter
     # a shorter candidate is unique; each trailing zero it has is one digit fewer
-    z = np.flatnonzero(d == d // _TEN * _TEN)
-    dz, kz = d[z], k[z]
-    for e in (16, 8, 4, 2, 1):
-        cut = dz // _U64(10**e)
-        hit = cut * _U64(10**e) == dz
-        dz, kz = np.where(hit, cut, dz), kz - hit * _U64(e)
+    z = np.flatnonzero(np.equal(np.multiply(np.floor_divide(d, _TEN, out=a), _TEN, out=a), d, out=flag))
+    dz, kz, cut, prod, hit = a[: z.size], b[: z.size], c[: z.size], e[: z.size], flag[: z.size]
+    np.take(d, z, out=dz, mode="clip")
+    np.take(k, z, out=kz, mode="clip")
+    for zeros in (16, 8, 4, 2, 1):
+        np.floor_divide(dz, _U64(10**zeros), out=cut)
+        np.equal(np.multiply(cut, _U64(10**zeros), out=prod), dz, out=hit)
+        np.copyto(dz, cut, where=hit)
+        np.subtract(kz, _U64(zeros), out=kz, where=hit)
     d[z], k[z] = dz, kz
     return d, k
 
 
-def _digit_words(v, keep, nwords: int, tables) -> np.ndarray:
-    """v as 4*nwords zero-padded ASCII digits in '<u4' words, all but the last `keep` NUL."""
-    out = np.empty((v.size, nwords), dtype="<u4")
+def _digit_words(v, keep, out, tables, q, j, masks) -> None:
+    """v as 4*n zero-padded ASCII digits in the n '<u4' rows of out, all but the last `keep` NUL.
+
+    v is overwritten; q and j are int64 work rows the size of v, and masks a
+    flat '<u4' work area of at least n words per value.
+    """
+    nwords, size = out.shape
     for g in range(nwords - 1, -1, -1):
-        q = v // 10000
-        out[:, g] = tables.words[v - q * 10000]
-        v = q
-    out &= tables.blank[nwords][4 * nwords - keep]
-    return out
+        np.floor_divide(v, 10000, out=q)
+        v -= np.multiply(q, 10000, out=j)  # v % 10000
+        np.take(tables.words, v, out=out[g], mode="clip")
+        v, q = q, v
+    masks = masks[: size * nwords].reshape(size, nwords)
+    np.take(tables.blank[nwords], np.subtract(4 * nwords, keep, out=j), axis=0, out=masks, mode="clip")
+    out &= masks.T
 
 
-def _format_raw(x, sep, tables) -> bytes:
-    """repr of each value of x followed by its separator byte, as one bytes object."""
-    pow10 = tables.pow10
-    ax = np.abs(x)
-    integral = (ax < 2.0**52) & (np.floor(ax) == ax)
-    d = np.where(integral, ax, 0.0).astype(np.uint64) * _TEN  # `<int>.0` is D = 10 * int, k = 1
-    k = np.ones(x.size, dtype=np.uint64)
-    window = (ax >= 1e-3) & (ax < 2.0**31) & ~integral
+def _write_chunk(fh, x, start: int, width: int, tables, work) -> None:
+    """Write each value of x, from flat index `start` of an image `width` wide, as repr does, with its separator."""
+    n = x.size
+    u, i, f = ([row[:n] for row in pool] for pool in (work.pool, work.ipool, work.fpool))
+    integral, window, _, _, flag = (row[:n] for row in work.flags)
+    ax = np.abs(x, out=f[7])
+    np.equal(np.floor(ax, out=f[6]), ax, out=integral)
+    integral &= np.less(ax, 2.0**52, out=flag)
+    np.greater_equal(ax, 1e-3, out=window)
+    window &= np.less(ax, 2.0**31, out=flag)
+    window &= np.logical_not(integral, out=flag)
+    # a finite double in the window is m / 2**s with m = 2**52 | its mantissa bits and s = 1075 - its exponent bits
     fast = np.flatnonzero(window)
-    frac, exp = np.frexp(ax[fast])
-    d[fast], k[fast] = _shortest(np.ldexp(frac, 53).astype(np.uint64), 53 - exp.astype(np.intp), tables)
-    d, k = d.astype(np.int64), k.astype(np.int64)
-    whole, part = np.divmod(d, pow10[np.minimum(k, 18)])
+    m, s = u[0][: fast.size], i[1][: fast.size]
+    np.take(u[7], fast, out=m, mode="clip")
+    np.right_shift(m, _U64(52), out=u[1][: fast.size])
+    np.subtract(1075, s, out=s)
+    m &= _U64(2**52 - 1)
+    m |= _U64(2**52)
+    d_fast, k_fast = _shortest(m, s, tables, work)
+    # every value as D / 10**k, in rows 1 and 3; `<int>.0` is D = 10 * int, k = 1
+    d, k = u[1], u[3]
+    np.copyto(d, np.abs(np.multiply(x, integral, out=f[4]), out=f[4]), casting="unsafe")
+    d *= _TEN
+    d[fast] = d_fast
+    k.fill(1)
+    k[fast] = k_fast
+    del fast
+    d, k = i[1], i[3]  # the same rows as int64; every D < 10**18
+    scale = np.take(tables.pow10, np.minimum(k, 18, out=i[0]), out=i[2], mode="clip")
+    whole = np.floor_divide(d, scale, out=i[4])
+    part = d
+    part -= np.multiply(whole, scale, out=i[0])
+    at = np.flatnonzero(np.logical_not(np.logical_or(integral, window, out=flag), out=flag))
     n_whole = -(-len(str(whole.max())) // 4)
-    neg = np.signbit(x)
-    cols = [np.where(neg, ord("-"), 0)[:, None]] if neg.any() else []
-    cols += [
-        _digit_words(whole, 1 + sum(whole >= p for p in pow10[1 : 4 * n_whole]), n_whole, tables),
-        np.full((x.size, 1), ord(".")),
-        _digit_words(part, k, -(-int(k.max()) // 4), tables),
-        sep[:, None],
-    ]
-    text = np.concatenate(cols, axis=1, dtype="<u4", casting="unsafe")
-    at = np.flatnonzero(~(integral | window))
-    if at.size:  # repr itself, NUL-padded into the row (widened to 28 bytes if need be)
-        text = np.pad(text, ((0, 0), (0, max(0, 7 - text.shape[1]))))
-        rows = [f"{v!r}{chr(c)}" for v, c in zip(x[at].tolist(), sep[at].tolist())]
-        text[at] = np.array(rows, dtype=f"S{4 * text.shape[1]}").view("<u4").reshape(at.size, -1)
-    return text.tobytes().translate(None, b"\0")
+    n_part = -(-int(k.max()) // 4)
+    neg = np.signbit(x, out=flag)
+    sign = int(neg.any())
+    cols = sign + n_whole + n_part + 2
+    rows = max(cols, 7) if at.size else cols  # a repr row takes up to 25 bytes
+    if work.text.size < rows * work.pool.shape[1]:
+        work.text = np.empty(rows * work.pool.shape[1], dtype="<u4")
+    text = work.text[: rows * n].reshape(rows, n)
+    if sign:
+        np.multiply(neg, ord("-"), out=text[0], casting="unsafe")
+    if n_whole == 1:  # whole parts below 10000, as every intensity's: one lookup instead of the digit loop
+        np.take(tables.short, whole, out=text[sign], mode="clip")
+    else:
+        keep = i[5]
+        keep.fill(1)
+        for p in tables.pow10[1 : 4 * n_whole]:
+            keep += np.greater_equal(whole, p, out=flag)
+        _digit_words(whole, keep, text[sign : sign + n_whole], tables, i[0], i[2], work.pool[6:].view("<u4").ravel())
+    text[sign + n_whole] = ord(".")
+    _digit_words(part, k, text[sign + n_whole + 1 : cols - 1], tables, i[0], i[2], work.pool[4:].view("<u4").ravel())
+    sep = text[cols - 1]
+    sep.fill(ord(" "))
+    sep[(width - 1 - start) % width :: width] = ord("\n")
+    text[cols:] = 0
+    text = text.T
+    if at.size:  # repr itself, NUL-padded into the row
+        reprs = [f"{v!r}{chr(c)}" for v, c in zip(x[at].tolist(), sep[at].tolist())]
+        text[at] = np.array(reprs, dtype=f"S{4 * rows}").view("<u4").reshape(at.size, -1)
+    for a in range(0, n, _PIECE):
+        fh.write(text[a : a + _PIECE].tobytes().translate(None, b"\0"))
 
 
 def write_raw(img: GrayImage, path) -> None:
@@ -344,10 +441,8 @@ def write_raw(img: GrayImage, path) -> None:
     img = as_image(img)
     h, w = img.shape
     flat = img.ravel()
-    tables = _tables()
+    tables, work = _tables(), _work(min(flat.size, _CHUNK))
     with open(path, "wb") as fh:
         fh.write(f"rawgray {w} {h}\n".encode("ascii"))
         for start in range(0, flat.size, _CHUNK):
-            x = flat[start : start + _CHUNK]
-            row_end = np.arange(start + 1, start + 1 + x.size) % w == 0
-            fh.write(_format_raw(x, np.where(row_end, ord("\n"), ord(" ")), tables))
+            _write_chunk(fh, flat[start : start + _CHUNK], start, w, tables, work)

@@ -16,13 +16,15 @@ are not sorted afterwards. Flagged intermediates are dumped through
 
 Tasks: for each noise kind, the filter-and-score calls, one per
 (pipeline, statistic, kernel), are tasks on one shared list, longest
-first (medians, then larger kernels). The calling thread and one pooled
-helper per further CPU pull them; each task filters, dumps its filtered
-image and scores it, and its row goes back to its index, so the bytes of
-`psnr.csv` and of every dump do not depend on the thread count. The
-filters' long numpy calls release the GIL, so the tasks overlap. A
-helper joins only lists that hold a median task. This is the one layer
-of threads: a filter runs its bands on the thread that called it.
+first (medians, then larger kernels); with dumps on, the kind's two
+noisy-plane dumps follow them as tasks that return no row. The calling
+thread and one pooled helper per further CPU pull them; each filter task
+filters, dumps its filtered image and scores it, and its row goes back
+to its index, so the bytes of `psnr.csv` and of every dump do not depend
+on the thread count. The filters' long numpy calls release the GIL, so
+the tasks overlap. The scan dumps and the label map are written on the
+calling thread, before the first list. This is the one layer of threads:
+a filter runs its bands on the thread that called it.
 
 Ownership: `evaluate_image` allocates the (2, h, w) scan stack and the
 scans write into its halves through `out=`; every other array is
@@ -31,8 +33,8 @@ returned is written afterwards, so a caller that keeps one (a probe
 wrapping the stage names in this module) sees its bytes unchanged. Each
 filtered image is dropped once it is dumped and scored, each noisy stack
 once its noise kind is done, and the scan stack once the last noise kind
-is drawn, so that one noisy stack is alive, and one filtered image and
-one PSNR difference per worker.
+is drawn, so that one noisy stack is alive, and one filtered image per
+worker; PSNR holds no difference image.
 """
 
 from __future__ import annotations
@@ -215,18 +217,19 @@ def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet) -> lis
     tasks = [(pipe, stat, k) for pipe in PIPELINES for stat in cfg.statistics for k in cfg.kernels]
     # longest first: medians, then larger k; the sort is stable, so ties stay in row order
     order = sorted(range(len(tasks)), key=lambda i: (tasks[i][1] != "median", -tasks[i][2]))
-    # On mean-only lists a helper cost more peak memory (its malloc arena, one
-    # more filtered image, a second dump writer) than it saved time.
-    workers = min(_worker_count(), len(tasks)) if "median" in cfg.statistics else 1
+    if dump_dir is not None:  # the two noisy-plane dumps, after the longer filter tasks
+        order += [len(tasks), len(tasks) + 1]
+    workers = min(_worker_count(), len(order))
     rows = []
     for kind in cfg.noise_kinds:
         noisy = apply_noise(scans, cfg.noise_spec(kind))
         if kind == cfg.noise_kinds[-1]:
             del scans  # dead after the last draw
-        dump(f"{kind}_square_noisy", noisy[0])
-        dump(f"{kind}_variable_noisy", noisy[1])
 
-        def score(i: int) -> PsnrRow:
+        def run(i: int) -> PsnrRow | None:
+            if i >= len(tasks):  # a noisy-plane dump, with no row
+                dump(f"{kind}_{PIPELINES[i - len(tasks)]}_noisy", noisy[i - len(tasks)])
+                return None
             pipe, stat, k = tasks[i]
             plane = noisy[0] if pipe == "square" else noisy[1]
             if pipe == "adaptive":
@@ -236,7 +239,7 @@ def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet) -> lis
             dump(f"{kind}_{pipe}_{stat}_k{k}", filtered)
             return PsnrRow(name, kind, pipe, stat, k, psnr(img, filtered))
 
-        rows += _run_tasks(score, order, workers)
+        rows += _run_tasks(run, order, workers)[: len(tasks)]
         del noisy  # freed before the next kind's stack is drawn
     return rows
 

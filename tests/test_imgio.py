@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -26,7 +28,7 @@ from varipix import (
     write_raw,
 )
 from varipix.cli import main
-from varipix.imgio import _CHUNK, ImageFormatError, as_image, as_labels, read_image_header
+from varipix.imgio import _CHUNK, _PIECE, ImageFormatError, as_image, as_labels, read_image_header
 from varipix.synth import fixture_images
 
 
@@ -538,7 +540,8 @@ def test_raw_writer_matches_repr_across_row_and_chunk_ends(tmp_path, rng, shape)
 
 
 def test_raw_bytes_do_not_depend_on_the_chunk_size(tmp_path, rng, monkeypatch):
-    # 2400 x 7 values: 7 divides none of the chunk sizes, and the last chunk of 4096 or 16384 is short.
+    # 2400 x 7 values: 7 divides none of the chunk sizes, and the last chunk of 4096 or 16384 is short;
+    # each chunk's text is copied out in pieces of 1 to 2048 values, whose ends fall mid-row too.
     # Per 4096 values: negatives or not, whole parts of 1 to `digits` digits and a few special
     # values, so the sign column comes and goes and the grid width changes from chunk to chunk.
     segments = []
@@ -558,10 +561,29 @@ def test_raw_bytes_do_not_depend_on_the_chunk_size(tmp_path, rng, monkeypatch):
     img = np.concatenate(segments)[: 2400 * 7].reshape(2400, 7)
     assert img.size > _CHUNK
     expected = repr_dump(img)
-    for size in (1, 5, 4096, _CHUNK):
+    for size, piece in [(1, 1), (5, 2), (4096, 1000), (_CHUNK, 7), (_CHUNK, _PIECE)]:
         monkeypatch.setattr("varipix.imgio._CHUNK", size)
+        monkeypatch.setattr("varipix.imgio._PIECE", piece)
         write_raw(img, tmp_path / "t.rawimg")
-        assert (tmp_path / "t.rawimg").read_bytes() == expected, size
+        assert (tmp_path / "t.rawimg").read_bytes() == expected, (size, piece)
+
+
+def test_raw_writer_holds_at_most_2_mb_for_a_240x240_dump(tmp_path, rng):
+    # The work arrays are allocated once per call, for one chunk. A noisy
+    # fixture, and the widest rows: signed 10-digit whole parts, 17 fraction
+    # digits and repr-written values.
+    wide = (rng.random((240, 240)) - 0.5) * 4e9
+    wide.flat[::101] = 1e-7
+    for img in (apply_noise(fixture_images()["disks"], NoiseSpec("gaussian")), wide):
+        write_raw(img, tmp_path / "warm.rawimg")  # the cached tables are built before tracing
+        tracemalloc.start()
+        try:
+            write_raw(img, tmp_path / "t.rawimg")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0e6, peak
+        assert (tmp_path / "t.rawimg").read_bytes() == repr_dump(img)
 
 
 def test_header_check_reads_no_samples_and_shares_the_readers_messages(tmp_path):

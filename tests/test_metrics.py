@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varipix import mse, psnr
+from varipix import metrics, mse, psnr
 
 
 def test_mse_identical_is_zero(rng):
@@ -103,3 +103,54 @@ def test_psnr_strictly_decreasing_in_mse(err, factor):
 
 def test_mse_accepts_lists():
     assert mse([[0.0, 0.0]], [[3.0, 4.0]]) == 12.5
+
+
+def _numpy_mse(a, b) -> float:
+    with np.errstate(over="ignore"):
+        return float(np.mean(np.square(np.subtract(a, b))))
+
+
+def test_mse_is_numpys_mean_bit_for_bit_on_random_shapes():
+    gen = np.random.default_rng(23)
+    shapes = [(1, n) for n in range(1, 201)] + [tuple(gen.integers(1, 700, 2)) for _ in range(60)]
+    for shape in shapes:
+        scale = 10.0 ** gen.uniform(-8, 8)
+        a, b = gen.random(shape) * scale, gen.random(shape) * scale
+        assert mse(a, b) == _numpy_mse(a, b), shape
+
+
+def test_mse_is_numpys_mean_bit_for_bit_around_the_node_size():
+    node = metrics._NODE
+    gen = np.random.default_rng(5)
+    for n in (node - 1, node, node + 1, 2 * node - 8, 2 * node, 2 * node + 8, 5 * node + 3):
+        a, b = gen.random((1, n)) * 255.0, gen.random((1, n)) * 255.0
+        assert mse(a, b) == _numpy_mse(a, b), n
+        assert mse(a.reshape(-1, 1), b.reshape(-1, 1)) == mse(a, b)
+
+
+def test_mse_of_strided_views_is_numpys_mean_of_their_c_order_copies():
+    gen = np.random.default_rng(7)
+    a, b = gen.random((700, 900)) * 255.0, gen.random((700, 900)) * 255.0
+    for view in (np.s_[::2, ::3], np.s_[1::3, ::-1], np.s_[:, 5:600]):
+        va, vb = a[view], b[view]
+        assert mse(va, vb) == _numpy_mse(np.ascontiguousarray(va), np.ascontiguousarray(vb))
+    # F-ordered inputs are summed in C order too, so the layout never moves a bit
+    fa, fb = np.asfortranarray(a), np.asfortranarray(b)
+    assert mse(fa, fb) == mse(a, b) == _numpy_mse(a, b)
+
+
+def test_mse_overflows_to_inf_past_one_node():
+    a = np.zeros((1, 3 * metrics._NODE))
+    b = a.copy()
+    b[0, -1] = 1e200  # in the last node only
+    assert mse(a, b) == math.inf == _numpy_mse(a, b)
+    assert psnr(a, b) == -math.inf
+
+
+def test_tiny_mse_is_numpys_mean_bit_for_bit_and_gives_a_finite_psnr():
+    n = 2 * metrics._NODE + 8
+    a, b = np.zeros((1, n)), np.zeros((1, n))
+    b[0, ::97] = 1e-160
+    err = mse(a, b)
+    assert 0.0 < err < 3.6e-304 and err == _numpy_mse(a, b)
+    assert math.isfinite(psnr(a, b))

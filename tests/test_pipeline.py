@@ -400,19 +400,21 @@ def _fixture_crops(tmp_path):
 @pytest.mark.parametrize("mode", ADAPTIVE_MODES)
 def test_worker_count_never_changes_a_byte_of_psnr_csv_or_the_dumps(monkeypatch, tmp_path, mode):
     inputs = _fixture_crops(tmp_path)
-    outputs = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(pipeline, "_worker_count", lambda workers=workers: workers)
-        out_dir = tmp_path / f"workers{workers}"
-        run_pipeline(PipelineConfig(
-            inputs=inputs, kernels=(3, 5), adaptive_mode=mode, out_dir=out_dir,
-            dump_intermediates=True, raw_intermediates=True,
-        ))
-        outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
-    # per image: two scans and the labels, then per noise kind two noisy scans and 12 filtered images
-    assert len(outputs[0]) == 1 + 5 * (3 + len(NOISE_KINDS) * (2 + 12))
-    assert outputs[1] == outputs[0]
-    assert outputs[2] == outputs[0]
+    for statistics in (STATISTICS, ("mean",)):  # mean-only lists get the helper too
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(pipeline, "_worker_count", lambda workers=workers: workers)
+            out_dir = tmp_path / f"{len(statistics)}-workers{workers}"
+            run_pipeline(PipelineConfig(
+                inputs=inputs, kernels=(3, 5), statistics=statistics, adaptive_mode=mode, out_dir=out_dir,
+                dump_intermediates=True, raw_intermediates=True,
+            ))
+            outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+        # per image: two scans and the labels, then per noise kind two noisy scans and 6 filtered images per statistic
+        assert len(outputs[0]) == 1 + 5 * (3 + len(NOISE_KINDS) * (2 + 6 * len(statistics)))
+        assert sum(name.endswith("_noisy.rawimg") for name in outputs[0]) == 5 * len(NOISE_KINDS) * 2
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 def test_tasks_under_frequent_thread_switches(monkeypatch, masks):
@@ -465,7 +467,7 @@ def test_a_dump_that_fails_on_a_helper_thread_exits_3_and_leaves_no_task_running
 
     def write_image(img, out, raw):
         # The caller holds its first filtered dump until a helper's dump has
-        # failed, so the failing dump, the last task on the list, runs on the helper.
+        # failed, so the failing dump, a later task on the list, runs on the helper.
         if threading.current_thread() is threading.main_thread() and "_k3" in out.name:
             assert helper_failed.wait(30)
         try:
@@ -488,11 +490,12 @@ def test_a_dump_that_fails_on_a_helper_thread_exits_3_and_leaves_no_task_running
     monkeypatch.setattr(pipeline, "write_image", write_image)
     for name in ("box_filter", "adaptive_filter", "psnr"):
         monkeypatch.setattr(pipeline, name, counted(getattr(pipeline, name)))
-    for via_cli in (False, True):
+    # the last filter task, and the last noisy-plane dump, a task after the filter tasks
+    for via_cli, failing in itertools.product((False, True), ("adaptive_mean_k3", "variable_noisy")):
         helper_failed = threading.Event()
         failed_on.clear()
-        out_dir = tmp_path / f"out{int(via_cli)}"
-        (out_dir / "d_gaussian_adaptive_mean_k3.pgm").mkdir(parents=True)  # the last task: means after medians
+        out_dir = tmp_path / f"out{int(via_cli)}-{failing}"
+        (out_dir / f"d_gaussian_{failing}.pgm").mkdir(parents=True)
         if via_cli:
             result = CliRunner().invoke(main, ["run", str(path), "--out-dir", str(out_dir), "--noise", "gaussian",
                                                "--kernel", "3", "--dump-intermediates"])
@@ -521,17 +524,20 @@ def test_one_worker_starts_no_pool_thread(monkeypatch, masks):
 
 @pytest.mark.parametrize(
     "workers, noise_kinds, bound",
-    [(1, NOISE_KINDS, 6.2), (2, NOISE_KINDS, 8.2), (2, ("gaussian",), 6.2)],
+    [(1, NOISE_KINDS, 5.5), (2, NOISE_KINDS, 6.8), (2, ("gaussian",), 5.2)],
     ids=["one-worker", "two-workers", "two-workers-one-noise"],
 )
-def test_evaluate_image_memory_is_one_filtered_image_and_one_difference_per_worker(
+def test_evaluate_image_memory_is_one_filtered_image_and_filter_scratch_per_worker(
     monkeypatch, masks, workers, noise_kinds, bound
 ):
     # In image sizes above the clean image: the scan stack (2) until the last
     # noise kind is drawn, one noisy stack (2), the labels (0.125), and per
-    # worker one filtered image (1) and one PSNR difference (1), so 6.13 on
-    # one worker and 8.13 on two, and 6.13 for one noise kind on two workers
-    # (the scan stack is gone before its tasks). What the call leaves traced
+    # worker one filtered image together with its filter's band scratch (at
+    # most 1.29 here, the k = 3 adaptive median), so 5.41 on one worker and
+    # 6.66 on two. PSNR holds one node of its pairwise sum (0.06), not a
+    # difference image. For one noise kind on two workers the scan stack is
+    # gone before its tasks, and the peak, 5.13, is the noise draw: the scan
+    # stack, the noisy stack and the noise plane. What the call leaves traced
     # is the interpreter's own bookkeeping, not counted: about 0.12 for each
     # block of obmalloc's arena map, allocated when a new arena lands in an
     # unmapped address range. A first call on a crop makes the lazy imports
