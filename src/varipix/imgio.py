@@ -34,16 +34,20 @@ rounding interval never matters.
 The bytes are laid out as four-digit ASCII words with NUL padding, one
 row of words per column of the dump, and written 16384 values at a time.
 A write_raw call allocates its work arrays once, for one chunk: eight
-uint64 rows that every stage reuses through `out=`, five bool rows and
-the text rows. Each chunk's text is copied out and its NULs deleted 2048
-values at a time. So no chunk allocates a large array. One 240x240 dump
-has a traced peak of 1.86 MB for the largest of the 35 dumps of a
-`dump_roundtrip` job, and 1.93 MB for the widest rows (signed 10-digit
-whole parts, 17 fraction digits), against 3.91 MB with temporaries per
-chunk. A larger chunk makes fewer numpy calls per value, and each call
-on a chunk-sized array hands the GIL to a task thread that waits for it:
-on a 2-core x86 host, two threads writing dumps at once with 8192 values
-per chunk ran no faster than one thread writing them all.
+uint64 rows, named in `_work`, that every stage reuses through `out=`,
+five bool rows and the text rows. Each chunk's text is copied out and its
+NULs deleted 2048 values at a time. So no chunk allocates a large array.
+One 240x240 dump has a traced peak of 1.86 MB for the largest of the 35
+dumps of a `dump_roundtrip` job, and 1.93 MB for the widest rows (signed
+10-digit whole parts, 17 fraction digits), against 3.91 MB with
+temporaries per chunk. Copying 4096 values at a time takes these to 1.93
+and 2.04 MB, and the whole chunk to 2.71 and 2.93 MB; 1024 lowers
+neither, and no size from 1024 to the whole chunk changed the time of
+the 35 dumps on one thread. A larger chunk makes fewer numpy calls per
+value, and each call on a chunk-sized array hands the GIL to a task
+thread that waits for it: on a 2-core x86 host, two threads writing dumps
+at once with 8192 values per chunk ran no faster than one thread writing
+them all.
 """
 
 from __future__ import annotations
@@ -236,7 +240,8 @@ def read_labelmap(path) -> LabelMap:
 
 
 _CHUNK = 16384  # values per write; see the module docstring
-_PIECE = 2048  # values whose text is copied out and stripped of its NUL padding at a time
+_PIECE = 2048  # values whose text is copied out and stripped of NULs at a time; see the module docstring
+_ROWS = ("m", "s", "k", "p", "t", "b", "c", "e")  # the writer's work rows; see _work
 _U64 = np.uint64
 _M32, _S32, _ONE, _TEN = _U64(0xFFFFFFFF), _U64(32), _U64(1), _U64(10)
 
@@ -268,29 +273,52 @@ def _tables() -> SimpleNamespace:
 def _work(n: int) -> SimpleNamespace:
     """The work arrays of one write_raw call, for chunks of up to n values.
 
-    pool: eight uint64 rows, also viewed as int64 and float64, that every
-    stage of a chunk reuses; flags: five bool rows; text: the chunk's digit
-    words, one row per column of the dump, grown to the widest chunk
-    written.
+    rows: eight uint64 rows of n, named once here by their use in _shortest
+    and reused by each stage of a chunk in turn. In that order, they hold:
+
+      m  the window's mantissas m, then its D; then scratch
+      s  the window's s, then _shortest's a; then every value's D, then its fraction part
+      k  the window's k; then 10**k per value; then scratch
+      p  _shortest's 5**k; then every value's k
+      t  _shortest's s - k; then the integral values' |x|; then the whole parts
+      b  _shortest's scratch; then the whole parts' digit counts
+      c  floor(|x|); then _shortest's scratch
+      e  |x| and its bits; then _shortest's scratch
+
+    masks: rows t to e as one '<u4' area, 8 words per value, where
+    _digit_words writes its NUL masks once it has read the rows they
+    overlap; a fraction part takes at most 5 words, a whole part 4.
+    flags: five bool rows; text: the chunk's digit words, one row per column
+    of the dump, grown to the widest chunk written.
     """
-    pool = np.empty((8, n), dtype=np.uint64)
+    pool = np.empty((len(_ROWS), n), dtype=np.uint64)
     return SimpleNamespace(
-        pool=pool, ipool=pool.view(np.int64), fpool=pool.view(np.float64),
+        pool=pool, masks=pool[_ROWS.index("t") :].view("<u4").ravel(),
         flags=np.empty((5, n), dtype=bool), text=np.empty(0, dtype="<u4"),
     )
 
 
-def _shortest(m, s, tables, work):
+def _rows(work, n: int) -> tuple[SimpleNamespace, SimpleNamespace, SimpleNamespace]:
+    """The first n values of each named pool row, viewed as uint64, int64 and float64."""
+    return tuple(
+        SimpleNamespace(**{name: row[:n] for name, row in zip(_ROWS, work.pool.view(dtype))})
+        for dtype in (np.uint64, np.int64, np.float64)
+    )
+
+
+def _shortest(tables, work, n: int):
     """Shortest round-trip digits of m / 2**s (m < 2**53, 22 <= s <= 62) as D / 10**k.
 
-    m is row 0 of the work pool and s row 1, viewed as int64; D comes back in
-    row 0 and k in row 2. Rows 1 to 7 and flags 2 to 4 are overwritten.
+    m and s are the first n values of rows m and s (s as int64); D comes
+    back in row m and k in row k. Every other row's first n values, and
+    flags 2 to 4, are overwritten.
     """
-    n = m.size
-    _, a, k, p, t, b, c, e = (row[:n] for row in work.pool)
+    u, i, _ = _rows(work, n)
+    m, s, k, p, t, b, c, e = u.m, i.s, u.k, u.p, u.t, u.b, u.c, u.e
     up, shorter, flag = (row[:n] for row in work.flags[2:])
     for table, out in ((tables.k, k), (tables.pow5, p), (tables.shift, t)):
         np.take(table, s, out=out, mode="clip")  # "clip" writes out directly; s is in range
+    a = u.s  # s is read; its row is free
     # m * 5**k as hi * 2**64 + lo, from the 32-bit halves a0, a1 of m and b0, b1 of 5**k
     np.bitwise_and(m, _M32, out=a)  # a0
     m >>= _S32  # a1
@@ -356,7 +384,8 @@ def _digit_words(v, keep, out, tables, q, j, masks) -> None:
     """v as 4*n zero-padded ASCII digits in the n '<u4' rows of out, all but the last `keep` NUL.
 
     v is overwritten; q and j are int64 work rows the size of v, and masks a
-    flat '<u4' work area of at least n words per value.
+    flat '<u4' work area of at least n words per value, written after v and
+    keep are read, so it may overlap them.
     """
     nwords, size = out.shape
     for g in range(nwords - 1, -1, -1):
@@ -364,44 +393,45 @@ def _digit_words(v, keep, out, tables, q, j, masks) -> None:
         v -= np.multiply(q, 10000, out=j)  # v % 10000
         np.take(tables.words, v, out=out[g], mode="clip")
         v, q = q, v
-    masks = masks[: size * nwords].reshape(size, nwords)
-    np.take(tables.blank[nwords], np.subtract(4 * nwords, keep, out=j), axis=0, out=masks, mode="clip")
+    np.subtract(4 * nwords, keep, out=j)
+    masks = masks[: size * nwords].reshape(size, nwords)  # raises if the area is too small
+    np.take(tables.blank[nwords], j, axis=0, out=masks, mode="clip")
     out &= masks.T
 
 
 def _write_chunk(fh, x, start: int, width: int, tables, work) -> None:
     """Write each value of x, from flat index `start` of an image `width` wide, as repr does, with its separator."""
     n = x.size
-    u, i, f = ([row[:n] for row in pool] for pool in (work.pool, work.ipool, work.fpool))
+    u, i, f = _rows(work, n)  # the rows' uses, in order, are listed in _work
     integral, window, _, _, flag = (row[:n] for row in work.flags)
-    ax = np.abs(x, out=f[7])
-    np.equal(np.floor(ax, out=f[6]), ax, out=integral)
+    ax = np.abs(x, out=f.e)
+    np.equal(np.floor(ax, out=f.c), ax, out=integral)
     integral &= np.less(ax, 2.0**52, out=flag)
     np.greater_equal(ax, 1e-3, out=window)
     window &= np.less(ax, 2.0**31, out=flag)
     window &= np.logical_not(integral, out=flag)
     # a finite double in the window is m / 2**s with m = 2**52 | its mantissa bits and s = 1075 - its exponent bits
     fast = np.flatnonzero(window)
-    m, s = u[0][: fast.size], i[1][: fast.size]
-    np.take(u[7], fast, out=m, mode="clip")
-    np.right_shift(m, _U64(52), out=u[1][: fast.size])
+    m, s = u.m[: fast.size], i.s[: fast.size]
+    np.take(u.e, fast, out=m, mode="clip")
+    np.right_shift(m, _U64(52), out=u.s[: fast.size])
     np.subtract(1075, s, out=s)
     m &= _U64(2**52 - 1)
     m |= _U64(2**52)
-    d_fast, k_fast = _shortest(m, s, tables, work)
-    # every value as D / 10**k, in rows 1 and 3; `<int>.0` is D = 10 * int, k = 1
-    d, k = u[1], u[3]
-    np.copyto(d, np.abs(np.multiply(x, integral, out=f[4]), out=f[4]), casting="unsafe")
+    d_fast, k_fast = _shortest(tables, work, fast.size)
+    # every value as D / 10**k, in rows s and p; `<int>.0` is D = 10 * int, k = 1
+    d, k = u.s, u.p
+    np.copyto(d, np.abs(np.multiply(x, integral, out=f.t), out=f.t), casting="unsafe")
     d *= _TEN
     d[fast] = d_fast
     k.fill(1)
     k[fast] = k_fast
     del fast
-    d, k = i[1], i[3]  # the same rows as int64; every D < 10**18
-    scale = np.take(tables.pow10, np.minimum(k, 18, out=i[0]), out=i[2], mode="clip")
-    whole = np.floor_divide(d, scale, out=i[4])
+    d, k = i.s, i.p  # the same rows as int64; every D < 10**18
+    scale = np.take(tables.pow10, np.minimum(k, 18, out=i.m), out=i.k, mode="clip")
+    whole = np.floor_divide(d, scale, out=i.t)
     part = d
-    part -= np.multiply(whole, scale, out=i[0])
+    part -= np.multiply(whole, scale, out=i.m)
     at = np.flatnonzero(np.logical_not(np.logical_or(integral, window, out=flag), out=flag))
     n_whole = -(-len(str(whole.max())) // 4)
     n_part = -(-int(k.max()) // 4)
@@ -417,13 +447,13 @@ def _write_chunk(fh, x, start: int, width: int, tables, work) -> None:
     if n_whole == 1:  # whole parts below 10000, as every intensity's: one lookup instead of the digit loop
         np.take(tables.short, whole, out=text[sign], mode="clip")
     else:
-        keep = i[5]
+        keep = i.b
         keep.fill(1)
         for p in tables.pow10[1 : 4 * n_whole]:
             keep += np.greater_equal(whole, p, out=flag)
-        _digit_words(whole, keep, text[sign : sign + n_whole], tables, i[0], i[2], work.pool[6:].view("<u4").ravel())
+        _digit_words(whole, keep, text[sign : sign + n_whole], tables, i.m, i.k, work.masks)
     text[sign + n_whole] = ord(".")
-    _digit_words(part, k, text[sign + n_whole + 1 : cols - 1], tables, i[0], i[2], work.pool[4:].view("<u4").ravel())
+    _digit_words(part, k, text[sign + n_whole + 1 : cols - 1], tables, i.m, i.k, work.masks)
     sep = text[cols - 1]
     sep.fill(ord(" "))
     sep[(width - 1 - start) % width :: width] = ord("\n")

@@ -21,10 +21,13 @@ noisy-plane dumps follow them as tasks that return no row. The calling
 thread and one pooled helper per further CPU pull them; each filter task
 filters, dumps its filtered image and scores it, and its row goes back
 to its index, so the bytes of `psnr.csv` and of every dump do not depend
-on the thread count. The filters' long numpy calls release the GIL, so
-the tasks overlap. The scan dumps and the label map are written on the
-calling thread, before the first list. This is the one layer of threads:
-a filter runs its bands on the thread that called it.
+on the thread count. The filters' long numpy calls release the GIL, so a
+filter overlaps the other threads' filters and dumps. Dumps are written
+one at a time, under a lock in `write_image`, so a wrapper on the writer
+names (the benchmark's tracer counts each dump's bytes after its call)
+never sees two writes at once. The scan dumps and the label map are
+written on the calling thread, before the first list. This is the one
+layer of threads: a filter runs its bands on the thread that called it.
 
 Ownership: `evaluate_image` allocates the (2, h, w) scan stack and the
 scans write into its halves through `out=`; every other array is
@@ -141,10 +144,15 @@ def rows_to_csv(rows: list[PsnrRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+_WRITE_LOCK = threading.Lock()
+
+
 def write_image(img, path, raw: bool) -> None:
-    """Write img as a lossless raw dump, or as an 8-bit PGM."""
-    # looked up here, not in imgio, so that bench/tracing.py sees every write
-    (write_raw if raw else write_pgm)(img, path)
+    """Write img as a lossless raw dump, or as an 8-bit PGM; one write at a time per process."""
+    # looked up here, not in imgio, so that bench/tracing.py sees every write; under the
+    # lock, so that a wrapper on these names never has two calls running at once
+    with _WRITE_LOCK:
+        (write_raw if raw else write_pgm)(img, path)
 
 
 def _worker_count() -> int:

@@ -7,6 +7,7 @@ import itertools
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -415,6 +416,37 @@ def test_worker_count_never_changes_a_byte_of_psnr_csv_or_the_dumps(monkeypatch,
         assert sum(name.endswith("_noisy.rawimg") for name in outputs[0]) == 5 * len(NOISE_KINDS) * 2
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
+
+
+def test_dumps_are_written_one_at_a_time_whatever_the_worker_count(monkeypatch, tmp_path):
+    # A wrapper on the writer names, as a benchmark probe that counts each
+    # dump's bytes after the call puts there, never sees two writes at once.
+    inputs = _fixture_crops(tmp_path)[:2]
+    running, most, writers = [], [0], set()
+
+    def counted(fn):
+        def wrapper(img, path):
+            running.append(path)
+            most[0] = max(most[0], len(running))
+            writers.add(threading.current_thread().name)
+            time.sleep(1e-3)  # time for another worker to start a write
+            try:
+                return fn(img, path)
+            finally:
+                running.remove(path)
+
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: 3)
+    for name in ("write_raw", "write_pgm"):
+        monkeypatch.setattr(pipeline, name, counted(getattr(pipeline, name)))
+    for raw in (False, True):
+        run_pipeline(PipelineConfig(
+            inputs=inputs, kernels=(3, 5), statistics=("mean",), out_dir=tmp_path / f"raw{int(raw)}",
+            dump_intermediates=True, raw_intermediates=raw,
+        ))
+    assert most == [1]
+    assert any(name.startswith("varipix-task") for name in writers), writers  # helpers wrote dumps too
 
 
 def test_tasks_under_frequent_thread_switches(monkeypatch, masks):
