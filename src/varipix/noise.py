@@ -18,7 +18,12 @@ draw: each image gets the stream a lone call on it would consume.
 The transform runs in place in the buffer the uniforms are drawn into,
 each ufunc with the operands and in the order of the expressions above
 (`log1p(-u1)` for ln(1 - u1)), so every normal has the bits those
-expressions give on fresh arrays; only cos(2 pi u2) has a buffer of its own.
+expressions give on fresh arrays. It runs over _PAIRS pairs at a time,
+and only cos(2 pi u2) has a buffer of its own, one chunk long.
+
+A draw and its application are two steps: `draw_noise` needs only the
+image shape and the spec, so a caller can draw while the image is still
+being made, and `apply_noise` applies a given draw, or makes one itself.
 """
 
 from __future__ import annotations
@@ -60,29 +65,54 @@ class NoiseSpec:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
+_PAIRS = 16384  # Box-Muller pairs transformed at a time
+
+
 def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     """n standard normals via Box-Muller over the uniform stream.
 
-    Runs in place in the (pairs, 2) draw buffer: column 0 holds u1 and then
-    z0, column 1 holds u2 and then z1, so the buffer read row-major is the
-    interleaved stream.
+    Runs in place in the (pairs, 2) draw buffer, _PAIRS rows at a time:
+    column 0 holds u1 and then z0, column 1 holds u2 and then z1, so the
+    buffer read row-major is the interleaved stream.
     """
     pairs = (n + 1) // 2
     u = rng.random((pairs, 2))
-    radius, angle = u[:, 0], u[:, 1]
-    np.negative(radius, out=radius)
-    np.log1p(radius, out=radius)
-    np.multiply(-2.0, radius, out=radius)
-    np.sqrt(radius, out=radius)
-    np.multiply(2.0 * np.pi, angle, out=angle)
-    cos = np.cos(angle)
-    np.sin(angle, out=angle)
-    np.multiply(radius, angle, out=angle)
-    np.multiply(radius, cos, out=radius)
+    cos = np.empty(min(pairs, _PAIRS))
+    for start in range(0, pairs, _PAIRS):
+        chunk = u[start : start + _PAIRS]
+        radius, angle, c = chunk[:, 0], chunk[:, 1], cos[: len(chunk)]
+        np.negative(radius, out=radius)
+        np.log1p(radius, out=radius)
+        np.multiply(-2.0, radius, out=radius)
+        np.sqrt(radius, out=radius)
+        np.multiply(2.0 * np.pi, angle, out=angle)
+        np.cos(angle, out=c)
+        np.sin(angle, out=angle)
+        np.multiply(radius, angle, out=angle)
+        np.multiply(radius, c, out=radius)
     return u.reshape(-1)[:n]
 
 
-def apply_noise(img: np.ndarray, spec: NoiseSpec) -> np.ndarray:
+def draw_noise(shape: tuple[int, int], spec: NoiseSpec):
+    """spec's draw for images of shape (h, w), from spec.seed.
+
+    gaussian and speckle give the (h, w) noise plane, already scaled by
+    sigma or sqrt(variance); salt_pepper gives the (h, w) bool mask of the
+    corrupted pixels and their replacement values, 0 or 255, in row-major
+    order.
+    """
+    h, w = shape
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    if spec.kind == "salt_pepper":
+        corrupt = rng.random(h * w) < spec.density
+        flips = rng.random(int(corrupt.sum()))
+        return corrupt.reshape(shape), np.where(flips < 0.5, 0.0, 255.0)
+    z = _standard_normals(rng, h * w).reshape(shape)
+    z *= spec.sigma if spec.kind == "gaussian" else np.sqrt(spec.variance)
+    return z
+
+
+def apply_noise(img: np.ndarray, spec: NoiseSpec, draw=None) -> np.ndarray:
     """img under spec's noise model, drawn from spec.seed; the input is not modified.
 
     salt_pepper corrupts each pixel to 0 or 255 (equal odds) with
@@ -91,26 +121,26 @@ def apply_noise(img: np.ndarray, spec: NoiseSpec) -> np.ndarray:
 
     img may also be a stack of same-shape images, (n, h, w). The draw is made
     once, for one image, and every image in the stack gets it, so each comes
-    out bit for bit as a lone call on it would give.
+    out bit for bit as a lone call on it would give. draw is
+    `draw_noise(shape, spec)` for the images' shape, made here when not given.
     """
     img = as_image(img, stack=True)
     shape = img.shape[-2:]
-    size = shape[0] * shape[1]
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    if draw is None:
+        draw = draw_noise(shape, spec)
+    plane = draw[0] if spec.kind == "salt_pepper" else draw
+    if plane.shape != shape:
+        raise ValueError(f"the draw is for images of shape {plane.shape}, not {shape}")
     if spec.kind == "salt_pepper":
-        corrupt = rng.random(size) < spec.density
-        flips = rng.random(int(corrupt.sum()))
+        corrupt, values = draw
         out = img.copy()
-        out.reshape(-1, size)[:, corrupt] = np.where(flips < 0.5, 0.0, 255.0)
+        out.reshape(-1, corrupt.size)[:, corrupt.reshape(-1)] = values
         return out
-    z = _standard_normals(rng, size).reshape(shape)
     # The output is allocated after the draw, and the draw's one noise plane
     # is broadcast over the stack, so no temporary is as large as the stack.
     if spec.kind == "gaussian":
-        z *= spec.sigma
-        out = np.add(img, z)
+        out = np.add(img, draw)
     else:
-        z *= np.sqrt(spec.variance)
-        out = np.multiply(img, z)
+        out = np.multiply(img, draw)
         np.add(img, out, out=out)
     return np.clip(out, 0.0, 255.0, out=out)

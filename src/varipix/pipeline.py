@@ -14,24 +14,30 @@ statistic, kernel, the order `PipelineConfig` stores its values in; they
 are not sorted afterwards. Flagged intermediates are dumped through
 `write_image`, the writer the stage commands use too.
 
-Tasks: for each noise kind, the filter-and-score calls, one per
-(pipeline, statistic, kernel), are tasks on one shared list, longest
-first (medians, then larger kernels); with dumps on, the kind's two
-noisy-plane dumps follow them as tasks that return no row. The calling
-thread and one pooled helper per further CPU pull them; each filter task
-filters, dumps its filtered image and scores it, and its row goes back
-to its index, so the bytes of `psnr.csv` and of every dump do not depend
-on the thread count. The filters' long numpy calls release the GIL, so a
-filter overlaps the other threads' filters and dumps. Dumps are written
-one at a time, under a lock in `write_image`, so a wrapper on the writer
-names (the benchmark's tracer counts each dump's bytes after its call)
-never sees two writes at once. The scan dumps and the label map are
-written on the calling thread, before the first list. This is the one
-layer of threads: a filter runs its bands on the thread that called it.
+Tasks: first, a stage list of two tasks: the fused scan, and the square
+scan followed by the first noise kind's draw (a draw needs only the
+image's shape, so it runs beside the fused scan). Then, for each noise
+kind, the filter-and-score calls, one per (pipeline, statistic, kernel),
+are tasks on one shared list, longest first (medians, then larger
+kernels); with dumps on, the kind's two noisy-plane dumps follow them as
+tasks that return no row. The calling thread and one pooled helper per
+further CPU pull them; each filter task filters, dumps its filtered
+image and scores it, and its row goes back to its index, so the bytes of
+`psnr.csv` and of every dump do not depend on the thread count. The
+filters' long numpy calls release the GIL, so a filter overlaps the
+other threads' filters and dumps. Dumps are written one at a time, under
+a lock in `write_image`, so a wrapper on the writer names (the
+benchmark's tracer counts each dump's bytes after its call) never sees
+two writes at once. The scan dumps and the label map are written on the
+calling thread, between the stage list and the first kind's list. This
+is the one layer of threads: a filter runs its bands, and a scan or a
+draw its work, on the thread that called it.
 
 Ownership: `evaluate_image` allocates the (2, h, w) scan stack and the
 scans write into its halves through `out=`; every other array is
-allocated by the stage that returns it. No array a stage was given or
+allocated by the stage that returns it. The first kind's draw lives
+beside the scans until that kind's noisy stack is made from it; later
+kinds are drawn inside `apply_noise`. No array a stage was given or
 returned is written afterwards, so a caller that keeps one (a probe
 wrapping the stage names in this module) sees its bytes unchanged. Each
 filtered image is dropped once it is dumped and scored, each noisy stack
@@ -63,6 +69,7 @@ from .noise import (
     NOISE_KINDS,
     NoiseSpec,
     apply_noise,
+    draw_noise,
 )
 from .scan import CRITERIA, DEFAULT_CRITERION, scan_parallel_fused, scan_square
 
@@ -215,8 +222,15 @@ def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet) -> lis
 
     # both scans in one stack, so that each noise kind is drawn once for the two
     scans = np.empty((2, *np.shape(img)))
-    scan_square(img, out=scans[0])
-    labels = scan_parallel_fused(img, maskset, cfg.criterion, out=scans[1]).labels
+
+    def stage(i: int):
+        """The fused scan's labels; or the square scan, then the first noise kind's draw."""
+        if i == 0:
+            return scan_parallel_fused(img, maskset, cfg.criterion, out=scans[1]).labels
+        scan_square(img, out=scans[0])
+        return draw_noise(scans.shape[1:], cfg.noise_spec(cfg.noise_kinds[0]))
+
+    labels, draw = _run_tasks(stage, [0, 1], min(_worker_count(), 2))
     dump("square", scans[0])
     dump("variable", scans[1])
     if dump_dir is not None:
@@ -230,7 +244,8 @@ def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet) -> lis
     workers = min(_worker_count(), len(order))
     rows = []
     for kind in cfg.noise_kinds:
-        noisy = apply_noise(scans, cfg.noise_spec(kind))
+        noisy = apply_noise(scans, cfg.noise_spec(kind), draw)
+        draw = None  # later kinds draw in apply_noise
         if kind == cfg.noise_kinds[-1]:
             del scans  # dead after the last draw
 

@@ -20,6 +20,12 @@ contiguous row (_pairwise), so each region mean and recon error has the
 bits of numpy's mean or sum over that block's cells in one row-major row.
 A sum along the cell axis, or `B @ M.T`, adds in another order and flips
 last-ulp ties.
+
+The fused scan keeps each block's winner as it scores the masks: its
+index, its two region means and its score, replaced only by a strictly
+lower score, so ties keep the lowest index as argmin does. The plane
+tensor is freed before the image is built: each winner's bits become
+the labels, and its two means are written straight into the image.
 """
 
 from __future__ import annotations
@@ -78,13 +84,16 @@ def _to_planes(img) -> tuple[np.ndarray, tuple[int, int]]:
     return grid.reshape(BLOCK * BLOCK, -1), img.shape
 
 
-def _from_planes(planes: np.ndarray, shape: tuple[int, int], out: np.ndarray | None = None) -> np.ndarray:
+def _from_planes(planes: np.ndarray, shape: tuple[int, int], out: np.ndarray | None = None, where=None) -> np.ndarray:
     """Inverse of _to_planes: the blocks written into out, cells outside shape left out; returns out.
 
     out (by default a new array) must have shape and the planes' dtype.
+    Given where, bool planes of the same layout, only its true cells are written.
     """
     h, w = shape
-    grid = planes.reshape(BLOCK, BLOCK, -(-h // BLOCK), -(-w // BLOCK))
+    grid_shape = (BLOCK, BLOCK, -(-h // BLOCK), -(-w // BLOCK))
+    grid = planes.reshape(grid_shape)
+    mask = None if where is None else where.reshape(grid_shape)
     if out is None:
         out = np.empty(shape, planes.dtype)
     elif out.shape != shape or out.dtype != planes.dtype:
@@ -92,7 +101,8 @@ def _from_planes(planes: np.ndarray, shape: tuple[int, int], out: np.ndarray | N
     for ys, rows, cy in _pieces(h):
         for xs, cols, cx in _pieces(w):
             cells = grid[:cy, :cx, ys, xs].transpose(2, 0, 3, 1)  # (block rows, cy, block columns, cx)
-            out[rows, cols].reshape(cells.shape)[...] = cells  # splitting both axes is a view
+            keep = True if mask is None else mask[:cy, :cx, ys, xs].transpose(2, 0, 3, 1)
+            np.copyto(out[rows, cols].reshape(cells.shape), cells, where=keep)  # splitting both axes is a view
     return out
 
 
@@ -128,30 +138,35 @@ def _select(planes: np.ndarray, maskset, criterion: str):
     `recon-error` minimizes the squared deviation of the block rebuilt from
     its two region means; `mean-diff` minimizes the absolute difference of
     the two means. Returns per block the winning mask index (lowest on
-    ties), and as planes its region bits and the rebuilt block.
+    ties, the first nan if a score is nan, as argmin picks), its region bits
+    as (36, blocks) uint8 planes, and its two region means as a (2, blocks)
+    array. The winner is kept as the masks are scored, so no mask's scores
+    or means outlive its turn.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown selection criterion {criterion!r}")
     if len(maskset) == 0:
         raise ValueError("empty mask set")
-    n = planes.shape[1]
     cells = np.empty((BLOCK * BLOCK, len(maskset)), dtype=np.uint8)
-    means = np.empty((2, len(maskset), n))
-    scores = np.empty((len(maskset), n))
     for i, m in enumerate(maskset):
         bits = cells[:, i] = m.cells.ravel()
+        means = np.empty((2, planes.shape[1]))
         for bit in (0, 1):
             region = np.flatnonzero(bits == bit)
-            means[bit, i] = _pairwise((planes[c] for c in region), len(region)) / len(region)
+            means[bit] = _pairwise((planes[c] for c in region), len(region)) / len(region)
         if criterion == "recon-error":
-            residuals = (plane - means[bit, i] for plane, bit in zip(planes, bits))
-            scores[i] = _pairwise((np.square(r, out=r) for r in residuals), BLOCK * BLOCK)
+            residuals = (plane - means[bit] for plane, bit in zip(planes, bits))
+            score = _pairwise((np.square(r, out=r) for r in residuals), BLOCK * BLOCK)
         else:
-            scores[i] = np.abs(means[0, i] - means[1, i])
-    win = scores.argmin(axis=0)
-    blocks = np.arange(n)
-    bits = cells[:, win]
-    return win, bits, np.where(bits == 0, means[0, win, blocks], means[1, win, blocks])
+            score = np.abs(means[0] - means[1])
+        if i == 0:
+            best, win, best_means = score, np.zeros(len(score), np.intp), means
+            continue
+        better = (score < best) | (np.isnan(score) & ~np.isnan(best))
+        np.copyto(best, score, where=better)
+        win[better] = i
+        np.copyto(best_means, means, where=better)
+    return win, cells[:, win], best_means
 
 
 def scan_square(img: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -177,9 +192,12 @@ def scan_parallel_fused(
     is given; out may be img itself.
     """
     planes, shape = _to_planes(img)
-    win, bits, blocks = _select(planes, maskset, criterion)
+    win, bits, means = _select(planes, maskset, criterion)
+    del planes  # freed before the image is built from the winners
     labels = _from_planes(bits, shape)
-    return ScanResult(_from_planes(blocks, shape, out), labels, win.reshape(-1, -(-shape[1] // BLOCK)))
+    image = _from_planes(np.broadcast_to(means[0], bits.shape), shape, out)
+    _from_planes(np.broadcast_to(means[1], bits.shape), shape, image, where=bits.view(bool))
+    return ScanResult(image, labels, win.reshape(-1, -(-shape[1] // BLOCK)))
 
 
 def block_labels(labels: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varipix import NoiseSpec, apply_noise
-from varipix.noise import _standard_normals
+from varipix.noise import _PAIRS, _standard_normals, draw_noise
 
 from .conftest import random_image
 
@@ -162,15 +163,54 @@ def test_apply_noise_dispatch_matches_direct(rng):
     np.testing.assert_allclose(got, np.clip(img + img * (np.sqrt(0.02) * z), 0.0, 255.0), rtol=1e-12, atol=1e-9)
 
 
-@pytest.mark.parametrize("n", [1, 2, 35, 4096, 100001])
+@pytest.mark.parametrize(
+    "n",
+    [1, 2, 35, 4096, 100001, 2 * _PAIRS - 2, 2 * _PAIRS - 1, 2 * _PAIRS, 2 * _PAIRS + 2,
+     4 * _PAIRS - 2, 4 * _PAIRS + 1, 4 * _PAIRS + 2],
+)
 def test_in_place_box_muller_has_the_bits_of_the_expressions(n):
-    # the module docstring's expressions, each ufunc on fresh contiguous arrays
+    # the module docstring's expressions, each ufunc on fresh contiguous arrays; the
+    # pair counts around one and two chunks end a chunk one pair short, full or over
     u = np.random.Generator(np.random.PCG64(n)).random(((n + 1) // 2, 2))
     radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
     angle = 2.0 * np.pi * u[:, 1]
     want = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)]).ravel()[:n]
     got = _standard_normals(np.random.Generator(np.random.PCG64(n)), n)
     assert got.shape == (n,) and got.tobytes() == want.tobytes()
+
+
+def test_box_muller_holds_one_chunk_beside_its_draw_buffer():
+    # the (pairs, 2) draw buffer is the one image-sized array; cos has one chunk
+    h, w = 509, 512
+    _standard_normals(np.random.Generator(np.random.PCG64(1)), 64)
+    tracemalloc.start()
+    try:
+        _standard_normals(np.random.Generator(np.random.PCG64(1)), h * w)
+        left, peak = tracemalloc.get_traced_memory()  # left: the interpreter's bookkeeping
+    finally:
+        tracemalloc.stop()
+    assert left < 0.5 * h * w * 8, left / (h * w * 8)
+    assert peak - left <= 1.1 * h * w * 8, (peak - left) / (h * w * 8)
+
+
+@pytest.mark.parametrize("kind", ["salt_pepper", "gaussian", "speckle"])
+@pytest.mark.parametrize("shape", [(5, 7), (48, 48), (3, 5, 7), (2, 48, 48)], ids=str)
+def test_applying_a_given_draw_is_applying_its_own(rng, kind, shape):
+    # 5 x 7: an odd pixel count leaves the last normal pair half used
+    spec = NoiseSpec(kind, density=0.3, seed=9)
+    img = rng.random(shape) * 255.0
+    draw = draw_noise(shape[-2:], spec)
+    parts = draw if kind == "salt_pepper" else (draw,)
+    kept = [a.copy() for a in parts]
+    assert apply_noise(img, spec, draw).tobytes() == apply_noise(img, spec).tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(parts, kept))  # the draw is only read
+
+
+@pytest.mark.parametrize("kind", ["salt_pepper", "gaussian", "speckle"])
+def test_apply_noise_rejects_a_draw_for_another_shape(kind):
+    spec = NoiseSpec(kind)
+    with pytest.raises(ValueError, match=re.escape("the draw is for images of shape (6, 5), not (5, 6)")):
+        apply_noise(np.zeros((2, 5, 6)), spec, draw_noise((6, 5), spec))
 
 
 def test_noisespec_validation():

@@ -158,20 +158,32 @@ def test_evaluate_image_matches_direct_stage_composition(masks):
 
 
 def test_evaluate_image_draws_each_noise_once_for_both_scans(masks, monkeypatch):
-    # one apply_noise call per kind on the stacked scans, looked up in pipeline's namespace
-    from varipix import pipeline
+    # one draw_noise and one apply_noise call per kind on the stacked scans; the
+    # first kind is drawn beside the scans, in pipeline's namespace, later ones
+    # in apply_noise's
+    from varipix import noise, pipeline
 
     calls = []
 
-    def counted(img, spec):
-        calls.append((np.shape(img), spec.kind))
-        return apply_noise(img, spec)
+    def counted(name, fn):
+        def wrapper(*args):
+            shape = tuple(args[0]) if name == "draw_noise" else args[0].shape  # the shape drawn for, or the stack
+            calls.append((name, shape, args[1].kind))
+            return fn(*args)
 
-    monkeypatch.setattr(pipeline, "apply_noise", counted)
+        return wrapper
+
+    draw = counted("draw_noise", noise.draw_noise)
+    monkeypatch.setattr(pipeline, "draw_noise", draw)
+    monkeypatch.setattr(noise, "draw_noise", draw)
+    monkeypatch.setattr(pipeline, "apply_noise", counted("apply_noise", apply_noise))
     img = small_fixture()
     cfg = PipelineConfig(inputs=(), kernels=(3,), statistics=("mean",))
     rows = {(r.noise, r.pipeline): r.psnr_db for r in evaluate_image("d", img, cfg, masks)}
-    assert calls == [((2, *img.shape), kind) for kind in NOISE_KINDS]
+    want = [(name, shape, kind) for kind in NOISE_KINDS for name, shape in
+            (("draw_noise", img.shape), ("apply_noise", (2, *img.shape)))]
+    assert sorted(calls) == sorted(want)
+    assert calls[0] == want[0]  # the first kind is drawn before any noise is applied
     square, variable = scan_square(img), scan_parallel_fused(img, masks).image
     for kind in NOISE_KINDS:
         spec = cfg.noise_spec(kind)
@@ -540,6 +552,56 @@ def test_a_dump_that_fails_on_a_helper_thread_exits_3_and_leaves_no_task_running
         assert len(failed_on) == 1 and failed_on[0].startswith("varipix-task"), failed_on
         assert running == []  # every helper was done before the error reached the caller
         assert not (out_dir / "psnr.csv").exists()
+
+
+@pytest.mark.parametrize("failing", ["scan_parallel_fused", "draw_noise"])
+def test_a_scan_stage_failure_on_the_helper_is_raised_once_and_leaves_no_task_running(monkeypatch, masks, failing):
+    # The stage list is [fused scan, square scan then the first draw]. The
+    # helper is held so that it takes the failing task: the first, when the
+    # fused scan fails, by holding the caller until the helper has begun;
+    # the second, when the draw fails, by holding the helper until the caller
+    # has begun. The caller's task then waits for the helper's.
+    real_pool = pipeline._pool
+    main_in, helper_in = threading.Event(), threading.Event()
+    failed_on, running = [], []
+
+    class Gate:
+        def __init__(self, pool):
+            self.pool = pool
+
+        def submit(self, fn):
+            if failing == "draw_noise":
+                return self.pool.submit(lambda: (main_in.wait(30), fn())[1])
+            future = self.pool.submit(fn)
+            assert helper_in.wait(30)
+            return future
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            on_helper = threading.current_thread() is not threading.main_thread()
+            running.append(name)
+            try:
+                if name != "draw_noise":  # the first call of each stage task
+                    (helper_in if on_helper else main_in).set()
+                    if not on_helper:
+                        assert helper_in.wait(30)
+                if name == failing and on_helper:
+                    failed_on.append(threading.current_thread().name)
+                    raise RuntimeError(name)
+                return fn(*args, **kwargs)
+            finally:
+                running.remove(name)
+
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: 2)
+    monkeypatch.setattr(pipeline, "_pool", lambda *args: Gate(real_pool(*args)))
+    for name in ("scan_parallel_fused", "scan_square", "draw_noise"):
+        monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+    with pytest.raises(RuntimeError, match=f"^{failing}$"):
+        evaluate_image("d", small_fixture(), PipelineConfig(inputs=(), noise_kinds=("gaussian",)), masks)
+    assert len(failed_on) == 1 and failed_on[0].startswith("varipix-task"), failed_on
+    assert running == []  # the caller's task was done before the error reached it
 
 
 def test_one_worker_starts_no_pool_thread(monkeypatch, masks):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -464,6 +466,50 @@ def test_small_and_lopsided_regions_match_the_loop_reference_bit_for_bit(criteri
                 assert result.chosen_masks[br, bc] == index
                 assert result.image[tile].tobytes() == out.tobytes()
                 assert np.array_equal(result.labels[tile], maskset[index].cells)
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_a_nan_score_wins_as_argmin_picks_it(masks, criterion):
+    # Finite samples near the float64 limit overflow region sums to inf, so
+    # some masks score nan: argmin takes the first nan, else the first of the
+    # smallest, and the winner kept while scoring must agree.
+    rng = np.random.default_rng(3)
+    img = rng.choice([1.7e308, -1.7e308, 1e308, 3.0, 0.0], (60, 60))
+    with np.errstate(all="ignore"):
+        result = scan_parallel_fused(img, masks, criterion)
+        nan_wins = 0
+        for br in range(10):
+            for bc in range(10):
+                block = img[br * BLOCK : br * BLOCK + BLOCK, bc * BLOCK : bc * BLOCK + BLOCK]
+                scores = []
+                for m in masks:
+                    region0 = m.cells == 0
+                    m0, m1 = block[region0].mean(), block[~region0].mean()
+                    out = np.where(region0, m0, m1)
+                    scores.append(((block - out) ** 2).sum() if criterion == "recon-error" else abs(m0 - m1))
+                want = int(np.argmin(scores))
+                assert result.chosen_masks[br, bc] == want, (br, bc, scores)
+                nan_wins += bool(np.isnan(scores[want]) and want > 0 and not np.isnan(scores[0]))
+    assert nan_wins > 0  # the case this test is for
+
+
+def test_fused_scan_memory_is_the_planes_and_its_image():
+    # In image sizes: the plane tensor (1.01 at 509x512) while the masks are
+    # scored, with one mask's accumulators and the winners kept so far; it is
+    # freed before the image (1) is built from the winning bits and means.
+    # What the call leaves traced is the interpreter's bookkeeping (blocks of
+    # obmalloc's arena map), not counted.
+    masks = builtin_masks()
+    img = np.random.default_rng(24).random((509, 512)) * 255.0
+    scan_parallel_fused(img[:64, :64], masks)
+    tracemalloc.start()
+    try:
+        scan_parallel_fused(img, masks)
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert left < 0.5 * img.nbytes, left / img.nbytes
+    assert peak - left <= 1.7 * img.nbytes, (peak - left) / img.nbytes
 
 
 def test_negative_zero_image_scans_to_positive_zero():
