@@ -31,22 +31,49 @@ approach of Ryu and Schubfach). This exact path takes 0.0 and -0.0, integral
 writes only the values outside it. The only powers of two in that range,
 2**-1 to 2**-9, are exact at their first candidate, so their lopsided
 rounding interval never matters.
-The bytes are laid out as four-digit ASCII words with NUL padding, one
-row of words per column of the dump, and written 16384 values at a time.
-A write_raw call allocates its work arrays once, for one chunk: eight
-uint64 rows, named in `_work`, that every stage reuses through `out=`,
-five bool rows and the text rows. Each chunk's text is copied out and its
-NULs deleted 2048 values at a time. So no chunk allocates a large array.
-One 240x240 dump has a traced peak of 1.86 MB for the largest of the 35
-dumps of a `dump_roundtrip` job, and 1.93 MB for the widest rows (signed
-10-digit whole parts, 17 fraction digits), against 3.91 MB with
-temporaries per chunk. Copying 4096 values at a time takes these to 1.93
-and 2.04 MB, and the whole chunk to 2.71 and 2.93 MB; 1024 lowers
-neither, and no size from 1024 to the whole chunk changed the time of
-the 35 dumps on one thread. A larger chunk makes fewer numpy calls per
-value, and each call on a chunk-sized array hands the GIL to a task
-thread that waits for it: on a 2-core x86 host, two threads writing dumps
-at once with 8192 values per chunk ran no faster than one thread writing
+
+D's whole part is floor(|x|): no integer lies strictly between x and a
+D / 10**k that reads back as x, because that integer would itself be a
+double at least as close to D / 10**k. So the fraction part is
+D - floor(|x|) * 10**k, with no division.
+
+The bytes are laid out as four-digit ASCII words, one row of words per
+column of the dump, and written 16384 values at a time; NUL bytes pad the
+words and are deleted on the way out. Each value's words are its whole
+part, from a table of words with the leading zeros NUL, and its fraction
+part, zero-padded to ceil((kmax + 1) / 4) words for the chunk's largest k.
+One take per fraction word from an XOR table turns the zeros before the
+kept digits to NUL (^0x30) and the last of them to '.' (^0x1E), so the
+'.' needs no word of its own. Each value's separator, the one that ends
+the value before it, goes into byte 0 of the value's first word: the sign
+word, which holds '-' in byte 1, or else the whole-part word when every
+whole part of the chunk is below 1000 (its byte 0 is a NUL), or else a
+word of its own. The file's first value has no separator, and the file
+ends with one '\n'. A noisy intensity takes at most six words (24 bytes for about
+18.5 written) and an integral one two, where a separate '.' and separator
+word took eight and four. A chunk whose values are all in the exact
+path's window skips compacting them to the front of the work rows.
+
+A write_raw call allocates its work arrays once, for one chunk, and
+builds their views once per call: eight uint64 rows, named in `_work`, that
+every stage reuses through `out=`, five bool rows and the text rows. Each
+chunk's text is copied out and its NULs deleted 64 KB at a time (2730
+six-word values). So no chunk allocates a large array. On a 2-core x86
+host the 35 dumps of a `dump_roundtrip` job peak at 1.79 MB traced (1.86
+MB with separate '.' and separator words), and a 240x240 dump of the
+widest rows (signed 10-digit whole parts, 17 fraction digits,
+repr-written values) at 1.86 MB (1.93 MB). Pieces of 128 KB take these
+to 1.86 and 1.94 MB, and the whole chunk to 2.52 and 2.73 MB; 16 KB
+lowers neither. Pieces of 2048 six-word values (48 KB) gave the same
+traced peaks but raised the peak RSS of 30 `dump_roundtrip` jobs in one
+process by 0.6 MB against 64 KB pieces, through how the C allocator
+reused the freed blocks; 64 KB pieces, as the eight-word rows of 2048
+values were, kept it at or below the old writer's. With separate '.'
+and separator words, no piece size from 1024 values to the whole chunk
+changed the time of the 35 dumps on one thread. A larger chunk makes
+fewer numpy calls per value, and each call on a chunk-sized array hands
+the GIL to a task thread that waits for it: two threads writing dumps at
+once with 8192 values per chunk ran no faster than one thread writing
 them all.
 """
 
@@ -59,6 +86,9 @@ import numpy as np
 
 GrayImage = np.ndarray  # float64, shape (height, width)
 LabelMap = np.ndarray  # uint8 region bits 0/1, shape (height, width)
+
+
+_FINITE_BLOCK = 65536  # samples per finiteness check, in whole rows, so that no check allocates a bool image
 
 
 class ImageFormatError(ValueError):
@@ -74,8 +104,11 @@ def as_image(data, stack: bool = False) -> GrayImage:
     if arr.ndim not in ((2, 3) if stack else (2,)) or arr.size == 0:
         shape = "2-D, or a 3-D stack of 2-D images," if stack else "2-D"
         raise ValueError(f"image must be {shape} with samples, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("image has non-finite samples (nan or inf)")
+    step = max(1, _FINITE_BLOCK // arr.shape[-1])
+    for plane in arr.reshape(-1, *arr.shape[-2:]):
+        for row in range(0, plane.shape[0], step):
+            if not np.isfinite(plane[row : row + step]).all():
+                raise ValueError("image has non-finite samples (nan or inf)")
     return arr
 
 
@@ -240,10 +273,20 @@ def read_labelmap(path) -> LabelMap:
 
 
 _CHUNK = 16384  # values per write; see the module docstring
-_PIECE = 2048  # values whose text is copied out and stripped of NULs at a time; see the module docstring
+_PIECE = 65536  # bytes of text copied out and stripped of NULs at a time, in whole values; see the module docstring
 _ROWS = ("m", "s", "k", "p", "t", "b", "c", "e")  # the writer's work rows; see _work
 _U64 = np.uint64
 _M32, _S32, _ONE, _TEN = _U64(0xFFFFFFFF), _U64(32), _U64(1), _U64(10)
+
+
+def _xor_masks(n: int, dot: bool) -> np.ndarray:
+    """Per word g < n and j < 4*n, the '<u4' mask that turns the first j of 4*n zero-padded digits from '0' to NUL.
+
+    With dot, digit j also turns from '0' to '.'. Row g is word g's table, indexed by j.
+    """
+    j, byte = np.arange(4 * n)[:, None], np.arange(4 * n)
+    masks = np.where(byte < j, 0x30, np.where(byte == j, 0x1E * dot, 0)).astype(np.uint8)
+    return np.ascontiguousarray(masks.view("<u4").T)
 
 
 @functools.cache
@@ -252,21 +295,20 @@ def _tables() -> SimpleNamespace:
 
     words: '<u4' ASCII words "0000".."9999", and short: the same words with
     their leading zeros NUL, "0" kept; k, pow5, shift: per s, the smallest k
-    with 10**k >= 2**s (it always round-trips), 5**k and s - k; pow10: int64
-    10**e for e < 19 (every D < 10**18); blank: per width n <= 5 words
-    (k <= 19) and j <= 4*n, the n '<u4' masks that make the first j bytes of
-    n words NUL.
+    with 10**k >= 2**s (it always round-trips), 5**k and s - k; pow10: uint64
+    10**e for e <= 19, the largest k; lead and dot: per width n, _xor_masks
+    without and with the '.' (whole parts take up to 4 words, fractions 5).
     """
     i = np.arange(10000)
     words = sum((i // 10**p % 10 + ord("0")) << 8 * (3 - p) for p in range(4)).astype("<u4")
     k0 = [next(k for k in range(20) if 10**k >= 2**s) for s in range(64)]
     k, pow5, shift = (np.array(col, dtype=np.uint64) for col in zip(*[(k, 5**k, s - k) for s, k in enumerate(k0)]))
-    blank = np.array([0xFFFFFFFF, 0xFFFFFF00, 0xFFFF0000, 0xFF000000, 0], dtype="<u4")  # per j <= 4: first j bytes NUL
+    blank = np.array([0xFFFFFFFF, 0xFFFFFF00, 0xFFFF0000, 0xFF000000], dtype="<u4")  # per j < 4: first j bytes NUL
     return SimpleNamespace(
         words=words, k=k, pow5=pow5, shift=shift,
         short=words & blank[4 - sum(i >= 10**p for p in range(4)) - (i == 0)],
-        pow10=np.array([10**e for e in range(19)], dtype=np.int64),
-        blank=[blank[np.clip(np.arange(4 * n + 1)[:, None] - np.arange(0, 4 * n, 4), 0, 4)] for n in range(6)],
+        pow10=np.array([10**e for e in range(20)], dtype=np.uint64),
+        lead=[_xor_masks(n, False) for n in range(5)], dot=[_xor_masks(n, True) for n in range(6)],
     )
 
 
@@ -276,49 +318,55 @@ def _work(n: int) -> SimpleNamespace:
     rows: eight uint64 rows of n, named once here by their use in _shortest
     and reused by each stage of a chunk in turn. In that order, they hold:
 
-      m  the window's mantissas m, then its D; then scratch
-      s  the window's s, then _shortest's a; then every value's D, then its fraction part
-      k  the window's k; then 10**k per value; then scratch
-      p  _shortest's 5**k; then every value's k
-      t  _shortest's s - k; then the integral values' |x|; then the whole parts
-      b  _shortest's scratch; then the whole parts' digit counts
-      c  floor(|x|); then _shortest's scratch
+      m  the window's mantissas m, then its D; then, if every value of the
+         chunk is in the window, every value's D and then its fraction part
+      s  the window's s, then _shortest's a; then, if not, every value's D
+         and then its fraction part
+      k  the window's k; then, if every value is in the window, every
+         value's k and then its fraction's digit-word indices
+      p  _shortest's 5**k; then, if not, as k
+      t  _shortest's s - k; then the whole parts
+      b  _shortest's scratch; then one digit word's XOR masks
+      c  floor(|x|); then _shortest's scratch; then |x| again, and the
+         whole part's digit-word indices
       e  |x| and its bits; then _shortest's scratch
 
-    masks: rows t to e as one '<u4' area, 8 words per value, where
-    _digit_words writes its NUL masks once it has read the rows they
-    overlap; a fraction part takes at most 5 words, a whole part 4.
-    flags: five bool rows; text: the chunk's digit words, one row per column
-    of the dump, grown to the widest chunk written.
+    The two of m, s, k and p that hold neither D nor k are the digit loop's
+    scratch. _shortest needs all eight rows, so the whole parts are taken
+    from |x| again after it. flags: five bool rows; text: the chunk's digit
+    words, one row per column of the dump, grown to the widest chunk written.
     """
-    pool = np.empty((len(_ROWS), n), dtype=np.uint64)
     return SimpleNamespace(
-        pool=pool, masks=pool[_ROWS.index("t") :].view("<u4").ravel(),
+        pool=np.empty((len(_ROWS), n), dtype=np.uint64),
         flags=np.empty((5, n), dtype=bool), text=np.empty(0, dtype="<u4"),
     )
 
 
-def _rows(work, n: int) -> tuple[SimpleNamespace, SimpleNamespace, SimpleNamespace]:
-    """The first n values of each named pool row, viewed as uint64, int64 and float64."""
-    return tuple(
-        SimpleNamespace(**{name: row[:n] for name, row in zip(_ROWS, work.pool.view(dtype))})
-        for dtype in (np.uint64, np.int64, np.float64)
+def _rows(work, n: int) -> tuple[SimpleNamespace, SimpleNamespace, SimpleNamespace, np.ndarray]:
+    """The first n values of each named pool row, viewed as uint64, int64 and float64, and of each flag row."""
+    return (
+        *(
+            SimpleNamespace(**{name: row[:n] for name, row in zip(_ROWS, work.pool.view(dtype))})
+            for dtype in (np.uint64, np.int64, np.float64)
+        ),
+        work.flags[:, :n],
     )
 
 
-def _shortest(tables, work, n: int):
+def _shortest(tables, rows, n: int):
     """Shortest round-trip digits of m / 2**s (m < 2**53, 22 <= s <= 62) as D / 10**k.
 
     m and s are the first n values of rows m and s (s as int64); D comes
     back in row m and k in row k. Every other row's first n values, and
     flags 2 to 4, are overwritten.
     """
-    u, i, _ = _rows(work, n)
-    m, s, k, p, t, b, c, e = u.m, i.s, u.k, u.p, u.t, u.b, u.c, u.e
-    up, shorter, flag = (row[:n] for row in work.flags[2:])
+    u, i, _, flags = rows
+    m, k, p, t, b, c, e, a = (row[:n] for row in (u.m, u.k, u.p, u.t, u.b, u.c, u.e, u.s))
+    s = i.s[:n]
+    up, shorter, flag = (row[:n] for row in flags[2:])
     for table, out in ((tables.k, k), (tables.pow5, p), (tables.shift, t)):
         np.take(table, s, out=out, mode="clip")  # "clip" writes out directly; s is in range
-    a = u.s  # s is read; its row is free
+    # s is read; its row is a from here on
     # m * 5**k as hi * 2**64 + lo, from the 32-bit halves a0, a1 of m and b0, b1 of 5**k
     np.bitwise_and(m, _M32, out=a)  # a0
     m >>= _S32  # a1
@@ -380,90 +428,100 @@ def _shortest(tables, work, n: int):
     return d, k
 
 
-def _digit_words(v, keep, out, tables, q, j, masks) -> None:
-    """v as 4*n zero-padded ASCII digits in the n '<u4' rows of out, all but the last `keep` NUL.
+def _digit_words(v, j, out, table, words, q, r, mask) -> None:
+    """v as 4*n zero-padded ASCII digits in the n '<u4' rows of out, word g of each value XORed with table[g, j].
 
-    v is overwritten; q and j are int64 work rows the size of v, and masks a
-    flat '<u4' work area of at least n words per value, written after v and
-    keep are read, so it may overlap them.
+    v < 10**(4*n) is overwritten; q and r are int64 work rows the size of v,
+    and mask a '<u4' one.
     """
-    nwords, size = out.shape
-    for g in range(nwords - 1, -1, -1):
-        np.floor_divide(v, 10000, out=q)
-        v -= np.multiply(q, 10000, out=j)  # v % 10000
-        np.take(tables.words, v, out=out[g], mode="clip")
+    for g in range(out.shape[0] - 1, -1, -1):
+        if g:
+            np.floor_divide(v, 10000, out=q)
+            v -= np.multiply(q, 10000, out=r)  # v % 10000
+        np.take(words, v, out=out[g], mode="clip")
+        out[g] ^= np.take(table[g], j, out=mask, mode="clip")
         v, q = q, v
-    np.subtract(4 * nwords, keep, out=j)
-    masks = masks[: size * nwords].reshape(size, nwords)  # raises if the area is too small
-    np.take(tables.blank[nwords], j, axis=0, out=masks, mode="clip")
-    out &= masks.T
 
 
-def _write_chunk(fh, x, start: int, width: int, tables, work) -> None:
-    """Write each value of x, from flat index `start` of an image `width` wide, as repr does, with its separator."""
+def _write_chunk(fh, x, start: int, width: int, tables, work, rows) -> None:
+    """Write each value of x, from flat index `start` of an image `width` wide, as repr does, after its separator.
+
+    rows are _rows(work, x.size).
+    """
     n = x.size
-    u, i, f = _rows(work, n)  # the rows' uses, in order, are listed in _work
-    integral, window, _, _, flag = (row[:n] for row in work.flags)
+    u, i, f, flags = rows  # the rows' uses, in order, are listed in _work
+    integral, window, neg, _, flag = flags
     ax = np.abs(x, out=f.e)
     np.equal(np.floor(ax, out=f.c), ax, out=integral)
     integral &= np.less(ax, 2.0**52, out=flag)
     np.greater_equal(ax, 1e-3, out=window)
     window &= np.less(ax, 2.0**31, out=flag)
     window &= np.logical_not(integral, out=flag)
-    # a finite double in the window is m / 2**s with m = 2**52 | its mantissa bits and s = 1075 - its exponent bits
-    fast = np.flatnonzero(window)
-    m, s = u.m[: fast.size], i.s[: fast.size]
-    np.take(u.e, fast, out=m, mode="clip")
-    np.right_shift(m, _U64(52), out=u.s[: fast.size])
-    np.subtract(1075, s, out=s)
-    m &= _U64(2**52 - 1)
-    m |= _U64(2**52)
-    d_fast, k_fast = _shortest(tables, work, fast.size)
-    # every value as D / 10**k, in rows s and p; `<int>.0` is D = 10 * int, k = 1
-    d, k = u.s, u.p
-    np.copyto(d, np.abs(np.multiply(x, integral, out=f.t), out=f.t), casting="unsafe")
-    d *= _TEN
-    d[fast] = d_fast
-    k.fill(1)
-    k[fast] = k_fast
-    del fast
-    d, k = i.s, i.p  # the same rows as int64; every D < 10**18
-    scale = np.take(tables.pow10, np.minimum(k, 18, out=i.m), out=i.k, mode="clip")
-    whole = np.floor_divide(d, scale, out=i.t)
-    part = d
-    part -= np.multiply(whole, scale, out=i.m)
+    # a finite double in the window is m / 2**s with m = 2**52 | its mantissa bits and s = 1075 - its exponent
+    # bits; only a chunk with values outside it compacts the window's values to the front of rows m and s
+    fast = None if window.all() else np.flatnonzero(window)
+    nf = n if fast is None else fast.size
+    bits = u.e if fast is None else np.take(u.e, fast, out=u.m[:nf], mode="clip")
+    np.right_shift(bits, _U64(52), out=u.s[:nf])
+    np.subtract(1075, i.s[:nf], out=i.s[:nf])
+    np.bitwise_and(bits, _U64(2**52 - 1), out=u.m[:nf])
+    u.m[:nf] |= _U64(2**52)
+    _shortest(tables, rows, nf)
+    # no integer lies strictly between x and a D / 10**k that reads back as it, so floor(|x|) is D's whole part
     at = np.flatnonzero(np.logical_not(np.logical_or(integral, window, out=flag), out=flag))
-    n_whole = -(-len(str(whole.max())) // 4)
-    n_part = -(-int(k.max()) // 4)
-    neg = np.signbit(x, out=flag)
-    sign = int(neg.any())
-    cols = sign + n_whole + n_part + 2
-    rows = max(cols, 7) if at.size else cols  # a repr row takes up to 25 bytes
-    if work.text.size < rows * work.pool.shape[1]:
-        work.text = np.empty(rows * work.pool.shape[1], dtype="<u4")
-    text = work.text[: rows * n].reshape(rows, n)
-    if sign:
-        np.multiply(neg, ord("-"), out=text[0], casting="unsafe")
-    if n_whole == 1:  # whole parts below 10000, as every intensity's: one lookup instead of the digit loop
-        np.take(tables.short, whole, out=text[sign], mode="clip")
+    whole = np.abs(x, out=f.c)  # again: _shortest overwrote rows c and e
+    whole[at] = 0.0  # the values repr writes; every other whole part is below 2**52
+    np.copyto(i.t, whole, casting="unsafe")  # truncation, so floor(|x|)
+    whole = i.t
+    # every value as D / 10**k; `<int>.0` is D = 10 * int, k = 1
+    if fast is None:
+        d, k, q, r = i.m, i.k, i.s, i.p
     else:
-        keep = i.b
-        keep.fill(1)
+        d, k, q, r = i.s, i.p, i.m, i.k
+        np.multiply(whole, 10, out=d)
+        d[fast] = i.m[:nf]
+        k.fill(1)
+        k[fast] = i.k[:nf]
+    del fast
+    scale = np.take(tables.pow10, k, out=q.view(np.uint64), mode="clip")
+    d.view(np.uint64)[...] -= np.multiply(u.t, scale, out=scale)  # the fraction part; 10**19 needs uint64
+    w_max, k_max = int(whole.max()), int(k.max())
+    sign = bool(np.signbit(x, out=neg).any())
+    n_whole, n_part = -(-len(str(w_max)) // 4), (k_max + 4) // 4  # a fraction's k digits and its '.'
+    # each value's separator goes into byte 0 of its first word: the sign word ('-' in byte 1), else a whole
+    # part word with a NUL there (below 1000), else a word of its own
+    head = int(sign or w_max >= 1000)
+    cols = head + n_whole + n_part
+    nrows = max(cols, 7) if at.size else cols  # a repr takes up to 25 bytes with its separator
+    if work.text.size < nrows * work.pool.shape[1]:
+        del work.text  # freed before the wider grid is allocated
+        work.text = np.empty(nrows * work.pool.shape[1], dtype="<u4")
+    text = work.text[: nrows * n].reshape(nrows, n)
+    first, mask = text[0], u.b.view("<u4")[:n]
+    if head:
+        np.multiply(neg, 0x2D00, out=first, casting="unsafe")
+    if n_whole == 1:  # whole parts below 10000, as every intensity's: one lookup instead of the digit loop
+        np.take(tables.short, whole, out=text[head], mode="clip")
+    else:
+        j = i.c
+        j.fill(4 * n_whole - 1)
         for p in tables.pow10[1 : 4 * n_whole]:
-            keep += np.greater_equal(whole, p, out=flag)
-        _digit_words(whole, keep, text[sign : sign + n_whole], tables, i.m, i.k, work.masks)
-    text[sign + n_whole] = ord(".")
-    _digit_words(part, k, text[sign + n_whole + 1 : cols - 1], tables, i.m, i.k, work.masks)
-    sep = text[cols - 1]
-    sep.fill(ord(" "))
-    sep[(width - 1 - start) % width :: width] = ord("\n")
+            j -= np.greater_equal(u.t, p, out=flag)
+        _digit_words(whole, j, text[head : head + n_whole], tables.lead[n_whole], tables.words, q, r, mask)
+    first |= 0x20  # ' '
+    first[(-start) % width :: width] ^= 0x20 ^ 0x0A  # '\n' after the last value of a row
+    if start == 0:
+        first[0] &= 0xFFFFFF00  # the first value of the file follows the header's '\n'
+    j = np.subtract(4 * n_part - 1, k, out=k)
+    _digit_words(d, j, text[head + n_whole : cols], tables.dot[n_part], tables.words, q, r, mask)
     text[cols:] = 0
     text = text.T
-    if at.size:  # repr itself, NUL-padded into the row
-        reprs = [f"{v!r}{chr(c)}" for v, c in zip(x[at].tolist(), sep[at].tolist())]
-        text[at] = np.array(reprs, dtype=f"S{4 * rows}").view("<u4").reshape(at.size, -1)
-    for a in range(0, n, _PIECE):
-        fh.write(text[a : a + _PIECE].tobytes().translate(None, b"\0"))
+    if at.size:  # repr itself, after its separator, NUL-padded into the row
+        reprs = [f"{chr(c & 0xFF)}{v!r}" for v, c in zip(x[at].tolist(), first[at].tolist())]
+        text[at] = np.array(reprs, dtype=f"S{4 * nrows}").view("<u4").reshape(at.size, -1)
+    piece = max(1, _PIECE // (4 * nrows))
+    for a in range(0, n, piece):
+        fh.write(text[a : a + piece].tobytes().translate(None, b"\0"))
 
 
 def write_raw(img: GrayImage, path) -> None:
@@ -472,7 +530,12 @@ def write_raw(img: GrayImage, path) -> None:
     h, w = img.shape
     flat = img.ravel()
     tables, work = _tables(), _work(min(flat.size, _CHUNK))
+    size = rows = None
     with open(path, "wb") as fh:
         fh.write(f"rawgray {w} {h}\n".encode("ascii"))
         for start in range(0, flat.size, _CHUNK):
-            _write_chunk(fh, flat[start : start + _CHUNK], start, w, tables, work)
+            x = flat[start : start + _CHUNK]
+            if x.size != size:  # views built once per call, and again for a shorter last chunk
+                size, rows = x.size, _rows(work, x.size)
+            _write_chunk(fh, x, start, w, tables, work, rows)
+        fh.write(b"\n")

@@ -19,8 +19,9 @@ scan followed by the first noise kind's draw (a draw needs only the
 image's shape, so it runs beside the fused scan). Then, for each noise
 kind, the filter-and-score calls, one per (pipeline, statistic, kernel),
 are tasks on one shared list, longest first (medians, then larger
-kernels); with dumps on, the kind's two noisy-plane dumps follow them as
-tasks that return no row. The calling thread and one pooled helper per
+kernels, then the adaptive filter before the two box filters of the same
+statistic and kernel); with dumps on, the kind's two noisy-plane dumps
+follow them as tasks that return no row. The calling thread and one pooled helper per
 further CPU pull them; each filter task filters, dumps its filtered
 image and scores it, and its row goes back to its index, so the bytes of
 `psnr.csv` and of every dump do not depend on the thread count. The
@@ -237,8 +238,8 @@ def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet) -> lis
         write_labelmap(labels, dump_dir / f"{name}_labels.txt")
 
     tasks = [(pipe, stat, k) for pipe in PIPELINES for stat in cfg.statistics for k in cfg.kernels]
-    # longest first: medians, then larger k; the sort is stable, so ties stay in row order
-    order = sorted(range(len(tasks)), key=lambda i: (tasks[i][1] != "median", -tasks[i][2]))
+    # longest first: medians, then larger k, then adaptive before box; the sort is stable, so ties stay in row order
+    order = sorted(range(len(tasks)), key=lambda i: (tasks[i][1] != "median", -tasks[i][2], tasks[i][0] != "adaptive"))
     if dump_dir is not None:  # the two noisy-plane dumps, after the longer filter tasks
         order += [len(tasks), len(tasks) + 1]
     workers = min(_worker_count(), len(order))

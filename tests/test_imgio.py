@@ -327,6 +327,31 @@ def test_as_image_rejects_non_finite(value):
         as_image(img)
 
 
+@pytest.mark.parametrize("shape", [(3, 40000), (2, 3, 40000), (70000, 1), (1, 70000)])
+def test_as_image_finds_a_non_finite_sample_in_any_row_block(shape):
+    # blocks of whole rows, at most 65536 samples each unless one row is longer
+    img = np.zeros(shape)
+    for index in ((0,) * len(shape), tuple(n - 1 for n in shape), tuple(n // 2 for n in shape)):
+        img[index] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            as_image(img, stack=len(shape) == 3)
+        img[index] = 0.0
+    assert as_image(img, stack=len(shape) == 3) is img
+
+
+def test_psnr_of_a_1024x1024_image_holds_under_a_tenth_of_an_image(rng):
+    # the finiteness checks of both images and the streamed squared error, each one block at a time
+    a, b = rng.random((2, 1024, 1024)) * 255.0
+    psnr(a, b)
+    tracemalloc.start()
+    try:
+        psnr(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * a.nbytes, peak / a.nbytes
+
+
 def test_as_labels_takes_integer_and_bool_dtypes_only():
     labels = as_labels(np.array([[True, False]]))
     assert labels.dtype == np.uint8 and labels.tolist() == [[1, 0]]
@@ -446,6 +471,7 @@ def edges(*values):
     return out + [-v for v in out]
 
 
+LAYOUT_WHOLES = (1.0, 9.0, 10.0, 99.0, 100.0, 255.0, 999.0, 1000.0, 9999.0, 10000.0, 2.0**31 - 1)
 RAW_EDGE_CASES = {
     "zeros": [0.0, -0.0],
     "subnormals": edges(5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308),
@@ -458,6 +484,13 @@ RAW_EDGE_CASES = {
     "short_decimals": edges(0.1, 0.3, 0.1 + 0.2, 2 / 3, 85.25, 1e-3 * 7, 123456.789, 2.0**31 - 0.5),
     # the only non-integral powers of two in the fast domain: a lopsided rounding interval, exact digits
     "fast_domain_powers_of_two": [sign * 2.0**-e for e in range(1, 10) for sign in (1, -1)],
+    # whole parts on each side of a new digit: the separator shares the sign word, or the whole part's word
+    # below 1000, or takes a word of its own
+    "whole_part_layouts": edges(*LAYOUT_WHOLES),
+    **{
+        f"whole_parts_below_{limit}_unsigned": [v for v in edges(*LAYOUT_WHOLES) if 0 < v < limit]
+        for limit in (1000, 10000, 2**31)
+    },
     # whole parts on each side of a new four-digit word, and reprs with 4, 5, 8, 9, 12, 13, 16 and 17
     # fraction digits: the digit counts and leading-NUL masks change word there
     "digit_word_boundaries": edges(
@@ -541,7 +574,8 @@ def test_raw_writer_matches_repr_across_row_and_chunk_ends(tmp_path, rng, shape)
 
 def test_raw_bytes_do_not_depend_on_the_chunk_size(tmp_path, rng, monkeypatch):
     # 2400 x 7 values: 7 divides none of the chunk sizes, and the last chunk of 4096 or 16384 is short;
-    # each chunk's text is copied out in pieces of 1 to 2048 values, whose ends fall mid-row too.
+    # each chunk's text is copied out in pieces of 1 byte to 64 KB, so of 1 to about 2730 values, whose
+    # ends fall mid-row too.
     # Per 4096 values: negatives or not, whole parts of 1 to `digits` digits and a few special
     # values, so the sign column comes and goes and the grid width changes from chunk to chunk.
     segments = []
@@ -560,12 +594,32 @@ def test_raw_bytes_do_not_depend_on_the_chunk_size(tmp_path, rng, monkeypatch):
         segments.append(v)
     img = np.concatenate(segments)[: 2400 * 7].reshape(2400, 7)
     assert img.size > _CHUNK
-    expected = repr_dump(img)
-    for size, piece in [(1, 1), (5, 2), (4096, 1000), (_CHUNK, 7), (_CHUNK, _PIECE)]:
-        monkeypatch.setattr("varipix.imgio._CHUNK", size)
-        monkeypatch.setattr("varipix.imgio._PIECE", piece)
-        write_raw(img, tmp_path / "t.rawimg")
-        assert (tmp_path / "t.rawimg").read_bytes() == expected, (size, piece)
+    # Per 1024 values, one layout of the text grid: every value in the exact path's window (unsigned,
+    # then signed), every value integral, whole parts on both sides of 1000 (the separator takes a
+    # word of its own), and at most 15, 16 and 17 fraction digits (16 is the first to need a fifth word)
+    fraction = rng.random(1024) * 0.9 + 0.1
+    layouts = [
+        rng.random(1024) * 255.0 + 1e-3,
+        (rng.random(1024) * 255.0 + 1e-3) * (-1.0) ** np.arange(1024),
+        rng.integers(0, 256, 1024).astype(np.float64),
+        rng.random(1024) * 1500.0 + 500.0,
+        np.round(fraction, 15),
+        np.round(fraction, 16),
+        fraction,
+    ]
+    assert all(1e-3 <= abs(v) < 2.0**31 and v != np.floor(v) for v in np.concatenate(layouts[:2]).tolist())
+    assert np.array_equal(layouts[2], np.floor(layouts[2])) and layouts[3].min() < 1000.0 <= layouts[3].max()
+    assert [max(len(r) - r.index(".") - 1 for r in map(repr, v.tolist())) for v in layouts[4:]] == [15, 16, 17]
+    for image, sizes in [
+        (img, [(1, 1), (5, 2), (4096, 1000), (_CHUNK, 7), (_CHUNK, _PIECE)]),
+        (np.concatenate(layouts).reshape(1024, 7), [(5, 2), (1024, 100), (4096, 1000), (_CHUNK, _PIECE)]),
+    ]:
+        expected = repr_dump(image)
+        for size, piece in sizes:
+            monkeypatch.setattr("varipix.imgio._CHUNK", size)
+            monkeypatch.setattr("varipix.imgio._PIECE", piece)
+            write_raw(image, tmp_path / "t.rawimg")
+            assert (tmp_path / "t.rawimg").read_bytes() == expected, (size, piece)
 
 
 def test_raw_writer_holds_at_most_2_mb_for_a_240x240_dump(tmp_path, rng):

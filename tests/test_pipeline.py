@@ -616,6 +616,32 @@ def test_one_worker_starts_no_pool_thread(monkeypatch, masks):
     assert set(threading.enumerate()) == before
 
 
+def test_one_worker_runs_medians_then_larger_k_then_the_adaptive_filter_first(monkeypatch, masks):
+    # the filter tasks of a noise kind, as one worker pulls them: longest first
+    calls = []
+
+    def record(name, filt):
+        def wrapped(img, *args):
+            k, statistic = (args[1], args[2]) if name == "adaptive" else (args[0], args[1])
+            calls.append((name, statistic, k))
+            return filt(img, *args)
+
+        return wrapped
+
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: 1)
+    monkeypatch.setattr(pipeline, "adaptive_filter", record("adaptive", pipeline.adaptive_filter))
+    monkeypatch.setattr(pipeline, "box_filter", record("box", pipeline.box_filter))
+    cfg = PipelineConfig(inputs=(), noise_kinds=("gaussian",), kernels=(3, 5))
+    evaluate_image("d", small_fixture(), cfg, masks)
+    # the box filters run for the square and the variable pipeline, in that order
+    assert calls == [
+        (name, statistic, k)
+        for statistic in ("median", "mean")
+        for k in (5, 3)
+        for name in ("adaptive", "box", "box")
+    ]
+
+
 @pytest.mark.parametrize(
     "workers, noise_kinds, bound",
     [(1, NOISE_KINDS, 5.5), (2, NOISE_KINDS, 6.8), (2, ("gaussian",), 5.2)],
