@@ -49,10 +49,9 @@ the value before it, goes into byte 0 of the value's first word: the sign
 word, which holds '-' in byte 1, or else the whole-part word when every
 whole part of the chunk is below 1000 (its byte 0 is a NUL), or else a
 word of its own. The file's first value has no separator, and the file
-ends with one '\n'. A noisy intensity takes at most six words (24 bytes for about
-18.5 written) and an integral one two, where a separate '.' and separator
-word took eight and four. A chunk whose values are all in the exact
-path's window skips compacting them to the front of the work rows.
+ends with one '\n'. A noisy intensity takes at most six words (24 bytes
+for about 18.5 written) and an integral one two, where a separate '.' and
+separator word took eight and four.
 
 A write_raw call allocates its work arrays once, for one chunk, and
 builds their views once per call: eight uint64 rows, named in `_work`, that
@@ -318,22 +317,21 @@ def _work(n: int) -> SimpleNamespace:
     rows: eight uint64 rows of n, named once here by their use in _shortest
     and reused by each stage of a chunk in turn. In that order, they hold:
 
-      m  the window's mantissas m, then its D; then, if every value of the
-         chunk is in the window, every value's D and then its fraction part
-      s  the window's s, then _shortest's a; then, if not, every value's D
-         and then its fraction part
-      k  the window's k; then, if every value is in the window, every
-         value's k and then its fraction's digit-word indices
-      p  _shortest's 5**k; then, if not, as k
+      m  the window's mantissas m, then its D; then 10**k, and the digit
+         loops' q
+      s  the window's s, then _shortest's a; then every value's D and then
+         its fraction part
+      k  the window's k; then the digit loops' r
+      p  _shortest's 5**k; then every value's k and then its fraction's
+         digit-word indices
       t  _shortest's s - k; then the whole parts
       b  _shortest's scratch; then one digit word's XOR masks
       c  floor(|x|); then _shortest's scratch; then |x| again, and the
          whole part's digit-word indices
       e  |x| and its bits; then _shortest's scratch
 
-    The two of m, s, k and p that hold neither D nor k are the digit loop's
-    scratch. _shortest needs all eight rows, so the whole parts are taken
-    from |x| again after it. flags: five bool rows; text: the chunk's digit
+    _shortest needs all eight rows, so the whole parts are taken from |x|
+    again after it. flags: five bool rows; text: the chunk's digit
     words, one row per column of the dump, grown to the widest chunk written.
     """
     return SimpleNamespace(
@@ -458,10 +456,10 @@ def _write_chunk(fh, x, start: int, width: int, tables, work, rows) -> None:
     window &= np.less(ax, 2.0**31, out=flag)
     window &= np.logical_not(integral, out=flag)
     # a finite double in the window is m / 2**s with m = 2**52 | its mantissa bits and s = 1075 - its exponent
-    # bits; only a chunk with values outside it compacts the window's values to the front of rows m and s
-    fast = None if window.all() else np.flatnonzero(window)
-    nf = n if fast is None else fast.size
-    bits = u.e if fast is None else np.take(u.e, fast, out=u.m[:nf], mode="clip")
+    # bits; the window's values are compacted to the front of rows m and s
+    fast = np.flatnonzero(window)
+    nf = fast.size
+    bits = np.take(u.e, fast, out=u.m[:nf], mode="clip")
     np.right_shift(bits, _U64(52), out=u.s[:nf])
     np.subtract(1075, i.s[:nf], out=i.s[:nf])
     np.bitwise_and(bits, _U64(2**52 - 1), out=u.m[:nf])
@@ -474,14 +472,11 @@ def _write_chunk(fh, x, start: int, width: int, tables, work, rows) -> None:
     np.copyto(i.t, whole, casting="unsafe")  # truncation, so floor(|x|)
     whole = i.t
     # every value as D / 10**k; `<int>.0` is D = 10 * int, k = 1
-    if fast is None:
-        d, k, q, r = i.m, i.k, i.s, i.p
-    else:
-        d, k, q, r = i.s, i.p, i.m, i.k
-        np.multiply(whole, 10, out=d)
-        d[fast] = i.m[:nf]
-        k.fill(1)
-        k[fast] = i.k[:nf]
+    d, k, q, r = i.s, i.p, i.m, i.k
+    np.multiply(whole, 10, out=d)
+    d[fast] = i.m[:nf]
+    k.fill(1)
+    k[fast] = i.k[:nf]
     del fast
     scale = np.take(tables.pow10, k, out=q.view(np.uint64), mode="clip")
     d.view(np.uint64)[...] -= np.multiply(u.t, scale, out=scale)  # the fraction part; 10**19 needs uint64

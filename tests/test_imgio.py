@@ -575,7 +575,9 @@ def test_raw_writer_matches_repr_across_row_and_chunk_ends(tmp_path, rng, shape)
 def test_raw_bytes_do_not_depend_on_the_chunk_size(tmp_path, rng, monkeypatch):
     # 2400 x 7 values: 7 divides none of the chunk sizes, and the last chunk of 4096 or 16384 is short;
     # each chunk's text is copied out in pieces of 1 byte to 64 KB, so of 1 to about 2730 values, whose
-    # ends fall mid-row too.
+    # ends fall mid-row too. A value takes 4 bytes per word of its chunk's grid: 7 * 36 bytes are the
+    # 7-value rows of the first 16384 values, whose grid is nine words wide, and 7 * 24 bytes the rows of
+    # the first 1024 values of the layouts below, six words wide.
     # Per 4096 values: negatives or not, whole parts of 1 to `digits` digits and a few special
     # values, so the sign column comes and goes and the grid width changes from chunk to chunk.
     segments = []
@@ -611,8 +613,11 @@ def test_raw_bytes_do_not_depend_on_the_chunk_size(tmp_path, rng, monkeypatch):
     assert np.array_equal(layouts[2], np.floor(layouts[2])) and layouts[3].min() < 1000.0 <= layouts[3].max()
     assert [max(len(r) - r.index(".") - 1 for r in map(repr, v.tolist())) for v in layouts[4:]] == [15, 16, 17]
     for image, sizes in [
-        (img, [(1, 1), (5, 2), (4096, 1000), (_CHUNK, 7), (_CHUNK, _PIECE)]),
-        (np.concatenate(layouts).reshape(1024, 7), [(5, 2), (1024, 100), (4096, 1000), (_CHUNK, _PIECE)]),
+        (img, [(1, 1), (5, 2 * 36), (4096, 1000), (_CHUNK, 7 * 36), (_CHUNK, _PIECE)]),
+        (
+            np.concatenate(layouts).reshape(1024, 7),
+            [(5, 2 * 28), (1024, 100), (1024, 7 * 24), (4096, 1000), (_CHUNK, _PIECE)],
+        ),
     ]:
         expected = repr_dump(image)
         for size, piece in sizes:
