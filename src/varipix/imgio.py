@@ -50,26 +50,17 @@ word, which holds '-' in byte 1, or else the whole-part word when every
 whole part of the chunk is below 1000 (its byte 0 is a NUL), or else a
 word of its own. The file's first value has no separator, and the file
 ends with one '\n'. A noisy intensity takes at most six words (24 bytes
-for about 18.5 written) and an integral one two, where a separate '.' and
-separator word took eight and four.
+for about 18.5 written) and an integral one two.
 
 A write_raw call allocates its work arrays once, for one chunk, and
 builds their views once per call: eight uint64 rows, named in `_work`, that
 every stage reuses through `out=`, five bool rows and the text rows. Each
 chunk's text is copied out and its NULs deleted 64 KB at a time (2730
-six-word values). So no chunk allocates a large array. On a 2-core x86
-host the 35 dumps of a `dump_roundtrip` job peak at 1.79 MB traced (1.86
-MB with separate '.' and separator words), and a 240x240 dump of the
-widest rows (signed 10-digit whole parts, 17 fraction digits,
-repr-written values) at 1.86 MB (1.93 MB). Pieces of 128 KB take these
-to 1.86 and 1.94 MB, and the whole chunk to 2.52 and 2.73 MB; 16 KB
-lowers neither. Pieces of 2048 six-word values (48 KB) gave the same
-traced peaks but raised the peak RSS of 30 `dump_roundtrip` jobs in one
-process by 0.6 MB against 64 KB pieces, through how the C allocator
-reused the freed blocks; 64 KB pieces, as the eight-word rows of 2048
-values were, kept it at or below the old writer's. With separate '.'
-and separator words, no piece size from 1024 values to the whole chunk
-changed the time of the 35 dumps on one thread. A larger chunk makes
+six-word values): larger pieces raised the traced peak, and 48 KB ones
+the peak RSS. So no chunk allocates a large array. On a 2-core x86 host
+the 35 dumps of a `dump_roundtrip` job peak at 1.79 MB traced, and a
+240x240 dump of the widest rows (signed 10-digit whole parts, 17
+fraction digits, repr-written values) at 1.86 MB. A larger chunk makes
 fewer numpy calls per value, and each call on a chunk-sized array hands
 the GIL to a task thread that waits for it: two threads writing dumps at
 once with 8192 values per chunk ran no faster than one thread writing
@@ -94,20 +85,15 @@ class ImageFormatError(ValueError):
     """Malformed image or label-map file."""
 
 
-def as_image(data, stack: bool = False) -> GrayImage:
-    """View data as a GrayImage; rejects non-2-D or empty shapes and nan/inf samples.
-
-    stack=True also takes a 3-D stack of same-shape images, (n, height, width).
-    """
+def as_image(data) -> GrayImage:
+    """View data as a GrayImage; rejects non-2-D or empty shapes and nan/inf samples."""
     arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim not in ((2, 3) if stack else (2,)) or arr.size == 0:
-        shape = "2-D, or a 3-D stack of 2-D images," if stack else "2-D"
-        raise ValueError(f"image must be {shape} with samples, got shape {arr.shape}")
-    step = max(1, _FINITE_BLOCK // arr.shape[-1])
-    for plane in arr.reshape(-1, *arr.shape[-2:]):
-        for row in range(0, plane.shape[0], step):
-            if not np.isfinite(plane[row : row + step]).all():
-                raise ValueError("image has non-finite samples (nan or inf)")
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"image must be 2-D with samples, got shape {arr.shape}")
+    step = max(1, _FINITE_BLOCK // arr.shape[1])
+    for row in range(0, arr.shape[0], step):
+        if not np.isfinite(arr[row : row + step]).all():
+            raise ValueError("image has non-finite samples (nan or inf)")
     return arr
 
 

@@ -12,8 +12,7 @@ with pairs interleaved (z0, z1, z0, z1, ...) along the row-major pixel
 stream. Salt & pepper consumes one uniform per pixel (corruption decision,
 row-major), then one extra uniform per corrupted pixel (again row-major):
 flip < 0.5 means pepper (0), otherwise salt (255). Identical inputs and
-seed give bit-identical outputs. A stack of same-shape images shares one
-draw: each image gets the stream a lone call on it would consume.
+seed give bit-identical outputs.
 
 The transform runs in place in the buffer the uniforms are drawn into,
 each ufunc with the operands and in the order of the expressions above
@@ -24,6 +23,7 @@ and only cos(2 pi u2) has a buffer of its own, one chunk long.
 A draw and its application are two steps: `draw_noise` needs only the
 image shape and the spec, so a caller can draw while the image is still
 being made, and `apply_noise` applies a given draw, or makes one itself.
+One draw applied to two images of its shape gives both the same noise.
 """
 
 from __future__ import annotations
@@ -119,25 +119,19 @@ def apply_noise(img: np.ndarray, spec: NoiseSpec, draw=None) -> np.ndarray:
     probability density; gaussian adds i.i.d. normal(0, sigma^2); speckle
     adds img * n, n ~ normal(0, variance). Both normal models clip to [0, 255].
 
-    img may also be a stack of same-shape images, (n, h, w). The draw is made
-    once, for one image, and every image in the stack gets it, so each comes
-    out bit for bit as a lone call on it would give. draw is
-    `draw_noise(shape, spec)` for the images' shape, made here when not given.
+    draw is `draw_noise(img.shape, spec)`, made here when not given.
     """
-    img = as_image(img, stack=True)
-    shape = img.shape[-2:]
+    img = as_image(img)
     if draw is None:
-        draw = draw_noise(shape, spec)
+        draw = draw_noise(img.shape, spec)
     plane = draw[0] if spec.kind == "salt_pepper" else draw
-    if plane.shape != shape:
-        raise ValueError(f"the draw is for images of shape {plane.shape}, not {shape}")
+    if plane.shape != img.shape:
+        raise ValueError(f"the draw is for images of shape {plane.shape}, not {img.shape}")
     if spec.kind == "salt_pepper":
         corrupt, values = draw
         out = img.copy()
-        out.reshape(-1, corrupt.size)[:, corrupt.reshape(-1)] = values
+        out[corrupt] = values
         return out
-    # The output is allocated after the draw, and the draw's one noise plane
-    # is broadcast over the stack, so no temporary is as large as the stack.
     if spec.kind == "gaussian":
         out = np.add(img, draw)
     else:

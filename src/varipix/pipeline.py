@@ -34,17 +34,16 @@ calling thread, between the stage list and the first kind's list. This
 is the one layer of threads: a filter runs its bands, and a scan or a
 draw its work, on the thread that called it.
 
-Ownership: `evaluate_image` allocates the (2, h, w) scan stack and the
-scans write into its halves through `out=`; every other array is
-allocated by the stage that returns it. The first kind's draw lives
-beside the scans until that kind's noisy stack is made from it; later
-kinds are drawn inside `apply_noise`. No array a stage was given or
-returned is written afterwards, so a caller that keeps one (a probe
-wrapping the stage names in this module) sees its bytes unchanged. Each
-filtered image is dropped once it is dumped and scored, each noisy stack
-once its noise kind is done, and the scan stack once the last noise kind
-is drawn, so that one noisy stack is alive, and one filtered image per
-worker; PSNR holds no difference image.
+Ownership: every array is allocated by the stage that returns it. Each
+noise kind is drawn once, and the draw is applied to each scan, so both
+scans get the same noise; the first kind's draw is made beside the scans.
+No array a stage was given or returned is written afterwards, so a
+caller that keeps one (a probe wrapping the stage names in this module)
+sees its bytes unchanged. Each filtered image is dropped once it is
+dumped and scored, each kind's two noisy planes once the kind is done,
+and the two scans once the last kind's noise is applied, so that two
+noisy planes are alive, and one filtered image per worker; PSNR holds no
+difference image.
 """
 
 from __future__ import annotations
@@ -54,8 +53,6 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .filters import ADAPTIVE_MODES, DEFAULT_ADAPTIVE_MODE, DEFAULT_KERNEL, STATISTICS, check_kernel
 from .filters import adaptive_filter, box_filter
@@ -116,10 +113,12 @@ class PipelineConfig:
         if self.dump_intermediates and self.out_dir is None:
             raise ValueError("dump_intermediates requires out_dir")
         inputs = sorted(map(Path, self.inputs), key=lambda p: (p.stem, p))
-        for path in inputs:  # rows and dumps are named by stem, so stems must be unique
+        for path in inputs:  # rows and dumps are named by stem, so stems must be unique and fit a psnr.csv field
             same = [str(q) for q in inputs if q.stem == path.stem]
             if len(same) > 1:
                 raise ValueError(f"inputs share the file stem {path.stem!r}: {', '.join(same)}")
+            if any(c in path.stem for c in ',"\r\n'):
+                raise ValueError(f"the file stem {path.stem!r} of {path} holds a comma, quote or line break")
         object.__setattr__(self, "inputs", tuple(inputs))
         object.__setattr__(self, "noise_kinds", tuple(n for n in NOISE_KINDS if n in self.noise_kinds))
         object.__setattr__(self, "statistics", tuple(s for s in STATISTICS if s in self.statistics))
@@ -221,17 +220,16 @@ def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet) -> lis
         if dump_dir is not None:
             write_image(image, dump_dir / f"{name}_{stem}{suffix}", cfg.raw_intermediates)
 
-    # both scans in one stack, so that each noise kind is drawn once for the two
-    scans = np.empty((2, *np.shape(img)))
-
     def stage(i: int):
-        """The fused scan's labels; or the square scan, then the first noise kind's draw."""
+        """The fused scan; or the square scan, then the first noise kind's draw."""
         if i == 0:
-            return scan_parallel_fused(img, maskset, cfg.criterion, out=scans[1]).labels
-        scan_square(img, out=scans[0])
-        return draw_noise(scans.shape[1:], cfg.noise_spec(cfg.noise_kinds[0]))
+            return scan_parallel_fused(img, maskset, cfg.criterion)
+        square = scan_square(img)
+        return square, draw_noise(square.shape, cfg.noise_spec(cfg.noise_kinds[0]))
 
-    labels, draw = _run_tasks(stage, [0, 1], min(_worker_count(), 2))
+    fused, (square, draw) = _run_tasks(stage, [0, 1], min(_worker_count(), 2))
+    scans, labels = (square, fused.image), fused.labels
+    del fused, square
     dump("square", scans[0])
     dump("variable", scans[1])
     if dump_dir is not None:
@@ -245,10 +243,13 @@ def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet) -> lis
     workers = min(_worker_count(), len(order))
     rows = []
     for kind in cfg.noise_kinds:
-        noisy = apply_noise(scans, cfg.noise_spec(kind), draw)
-        draw = None  # later kinds draw in apply_noise
+        spec = cfg.noise_spec(kind)
+        if draw is None:
+            draw = draw_noise(scans[0].shape, spec)
+        noisy = [apply_noise(scan, spec, draw) for scan in scans]
+        draw = None  # each later kind draws its own
         if kind == cfg.noise_kinds[-1]:
-            del scans  # dead after the last draw
+            del scans  # dead once the last kind's noise is applied
 
         def run(i: int) -> PsnrRow | None:
             if i >= len(tasks):  # a noisy-plane dump, with no row
@@ -264,7 +265,7 @@ def evaluate_image(name: str, img, cfg: PipelineConfig, maskset: MaskSet) -> lis
             return PsnrRow(name, kind, pipe, stat, k, psnr(img, filtered))
 
         rows += _run_tasks(run, order, workers)[: len(tasks)]
-        del noisy  # freed before the next kind's stack is drawn
+        del noisy  # freed before the next kind is drawn
     return rows
 
 

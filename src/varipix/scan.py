@@ -10,11 +10,11 @@ Scans take an image of any shape: its right and bottom are edge-replicated
 up to a multiple of 6, and the scanned image and labels have the input's
 shape (chosen_masks covers the whole padded grid). Neither the padded
 image nor the padded scan is ever built: pixels go straight into and out
-of the plane tensor. A scan's image is written into an `out=` array the
-caller owns when one is given, and the labels are uint8. Every scan
-is one kernel over the padded image as a C-contiguous (36, blocks) tensor
-of planes: plane c holds cell c of every block, cells and blocks
-row-major; a 6x6 image is one block of the same kernel. Ordering contract:
+of the plane tensor. A scan returns arrays of its own, and the labels
+are uint8. Every scan is one kernel over the padded image as a
+C-contiguous (36, blocks) tensor of planes: plane c holds cell c of
+every block, cells and blocks row-major; a 6x6 image is one block of
+the same kernel. Ordering contract:
 a region sum adds whole planes in numpy's float64 pairwise order for one
 contiguous row (_pairwise), so each region mean and recon error has the
 bits of numpy's mean or sum over that block's cells in one row-major row.
@@ -87,8 +87,8 @@ def _to_planes(img) -> tuple[np.ndarray, tuple[int, int]]:
 def _from_planes(planes: np.ndarray, shape: tuple[int, int], out: np.ndarray | None = None, where=None) -> np.ndarray:
     """Inverse of _to_planes: the blocks written into out, cells outside shape left out; returns out.
 
-    out (by default a new array) must have shape and the planes' dtype.
-    Given where, bool planes of the same layout, only its true cells are written.
+    out is by default a new array of shape and the planes' dtype. Given
+    where, bool planes of the same layout, only its true cells are written.
     """
     h, w = shape
     grid_shape = (BLOCK, BLOCK, -(-h // BLOCK), -(-w // BLOCK))
@@ -96,8 +96,6 @@ def _from_planes(planes: np.ndarray, shape: tuple[int, int], out: np.ndarray | N
     mask = None if where is None else where.reshape(grid_shape)
     if out is None:
         out = np.empty(shape, planes.dtype)
-    elif out.shape != shape or out.dtype != planes.dtype:
-        raise ValueError(f"out must be a {planes.dtype} array of shape {shape}, got {out.dtype} {out.shape}")
     for ys, rows, cy in _pieces(h):
         for xs, cols, cx in _pieces(w):
             cells = grid[:cy, :cx, ys, xs].transpose(2, 0, 3, 1)  # (block rows, cy, block columns, cx)
@@ -169,33 +167,25 @@ def _select(planes: np.ndarray, maskset, criterion: str):
     return win, cells[:, win], best_means
 
 
-def scan_square(img: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Replace every 6x6 block with its arithmetic mean (square baseline).
-
-    The scan is written into out, a float64 array of img's shape, when one
-    is given, and returned; out may be img itself.
-    """
+def scan_square(img: np.ndarray) -> np.ndarray:
+    """Replace every 6x6 block with its arithmetic mean (square baseline)."""
     planes, shape = _to_planes(img)
     means = _pairwise(planes, len(planes)) / len(planes)
-    return _from_planes(np.broadcast_to(means, planes.shape), shape, out)
+    return _from_planes(np.broadcast_to(means, planes.shape), shape)
 
 
-def scan_parallel_fused(
-    img: np.ndarray, maskset: MaskSet, criterion: str = DEFAULT_CRITERION, out: np.ndarray | None = None
-) -> ScanResult:
+def scan_parallel_fused(img: np.ndarray, maskset: MaskSet, criterion: str = DEFAULT_CRITERION) -> ScanResult:
     """Scan every block with every mask and keep, per block, the best one.
 
     The image holds each block rebuilt from the winning mask's two region
     means, labels the winning region bits as uint8, and chosen_masks the
     winning indices. A one-mask set scans the whole image with that mask.
-    The image is written into out, a float64 array of img's shape, when one
-    is given; out may be img itself.
     """
     planes, shape = _to_planes(img)
     win, bits, means = _select(planes, maskset, criterion)
     del planes  # freed before the image is built from the winners
     labels = _from_planes(bits, shape)
-    image = _from_planes(np.broadcast_to(means[0], bits.shape), shape, out)
+    image = _from_planes(np.broadcast_to(means[0], bits.shape), shape)
     _from_planes(np.broadcast_to(means[1], bits.shape), shape, image, where=bits.view(bool))
     return ScanResult(image, labels, win.reshape(-1, -(-shape[1] // BLOCK)))
 

@@ -424,6 +424,17 @@ def test_exit_code_4_for_inputs_that_share_a_stem(runner, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("stem", ["a,b", 'a"b', "a\rb", "a\nb"])
+def test_exit_code_4_for_an_input_stem_that_breaks_psnr_csv(runner, tmp_path, stem):
+    # psnr.csv writes the stem unquoted as its first field
+    (tmp_path / "in").mkdir()
+    write_fixture(tmp_path / "in" / f"{stem}.pgm")
+    result = invoke(runner, "run", tmp_path / "in", "--out-dir", tmp_path / "out")
+    assert result.exit_code == 4
+    assert f"stem {stem!r}" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_noise_and_run_defaults_match_library_defaults(runner, tmp_path):
     img = tmp_path / "x.pgm"
     write_fixture(img)

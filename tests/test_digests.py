@@ -31,6 +31,7 @@ from varipix import (
     scan_square,
 )
 from varipix.filters import ADAPTIVE_MODES, STATISTICS
+from varipix.noise import draw_noise
 from varipix.pipeline import rows_to_csv
 from varipix.synth import fixture_images
 
@@ -45,10 +46,15 @@ def digest(a: np.ndarray) -> str:
 
 
 def stage_digests(img: np.ndarray, masks) -> dict[str, str]:
-    """Digests of both scans, their salt-and-pepper stack and its filters, keyed by stage."""
+    """Digests of both scans, their salt-and-pepper planes and the planes' filters, keyed by stage.
+
+    Both scans are noised with one draw, and the noisy planes are digested as one stack.
+    """
     square = scan_square(img)
     fused = scan_parallel_fused(img, masks)
-    noisy = apply_noise(np.stack((square, fused.image)), NoiseSpec("salt_pepper"))
+    spec = NoiseSpec("salt_pepper")
+    draw = draw_noise(img.shape, spec)
+    noisy = np.stack([apply_noise(scan, spec, draw) for scan in (square, fused.image)])
     out = {
         "square": digest(square),
         "variable": digest(fused.image),

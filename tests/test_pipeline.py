@@ -158,32 +158,33 @@ def test_evaluate_image_matches_direct_stage_composition(masks):
 
 
 def test_evaluate_image_draws_each_noise_once_for_both_scans(masks, monkeypatch):
-    # one draw_noise and one apply_noise call per kind on the stacked scans; the
-    # first kind is drawn beside the scans, in pipeline's namespace, later ones
-    # in apply_noise's
-    from varipix import noise, pipeline
+    # per kind, one draw_noise, then one apply_noise on each (h, w) scan with that
+    # very draw; the first kind is drawn beside the scans, in pipeline's namespace,
+    # and a draw made inside apply_noise would be logged through noise's
+    from varipix import noise
 
-    calls = []
+    calls = []  # (name, kind, shape, draw), in call order
+    draw_noise = noise.draw_noise
 
-    def counted(name, fn):
-        def wrapper(*args):
-            shape = tuple(args[0]) if name == "draw_noise" else args[0].shape  # the shape drawn for, or the stack
-            calls.append((name, shape, args[1].kind))
-            return fn(*args)
+    def drawn(shape, spec):
+        draw = draw_noise(shape, spec)
+        calls.append(("draw_noise", spec.kind, tuple(shape), draw))
+        return draw
 
-        return wrapper
+    def applied(img, spec, draw=None):
+        calls.append(("apply_noise", spec.kind, img.shape, draw))
+        return apply_noise(img, spec, draw)
 
-    draw = counted("draw_noise", noise.draw_noise)
-    monkeypatch.setattr(pipeline, "draw_noise", draw)
-    monkeypatch.setattr(noise, "draw_noise", draw)
-    monkeypatch.setattr(pipeline, "apply_noise", counted("apply_noise", apply_noise))
+    monkeypatch.setattr(pipeline, "draw_noise", drawn)
+    monkeypatch.setattr(noise, "draw_noise", drawn)
+    monkeypatch.setattr(pipeline, "apply_noise", applied)
     img = small_fixture()
     cfg = PipelineConfig(inputs=(), kernels=(3,), statistics=("mean",))
     rows = {(r.noise, r.pipeline): r.psnr_db for r in evaluate_image("d", img, cfg, masks)}
-    want = [(name, shape, kind) for kind in NOISE_KINDS for name, shape in
-            (("draw_noise", img.shape), ("apply_noise", (2, *img.shape)))]
-    assert sorted(calls) == sorted(want)
-    assert calls[0] == want[0]  # the first kind is drawn before any noise is applied
+    names = ("draw_noise", "apply_noise", "apply_noise")
+    assert [call[:3] for call in calls] == [(name, kind, img.shape) for kind in NOISE_KINDS for name in names]
+    for draw, square, variable in zip(*[iter(calls)] * 3):
+        assert square[3] is draw[3] and variable[3] is draw[3]
     square, variable = scan_square(img), scan_parallel_fused(img, masks).image
     for kind in NOISE_KINDS:
         spec = cfg.noise_spec(kind)
@@ -205,7 +206,7 @@ def test_evaluate_image_writes_no_array_a_stage_was_given_or_returned(masks, mon
 
     def wrap(name, fn):
         def wrapper(*args, **kwargs):
-            for value in (*args, *(v for key, v in kwargs.items() if key != "out")):  # out is written by design
+            for value in (*args, *kwargs.values()):
                 keep(name, value)
             result = fn(*args, **kwargs)
             keep(name, result)
@@ -650,18 +651,18 @@ def test_one_worker_runs_medians_then_larger_k_then_the_adaptive_filter_first(mo
 def test_evaluate_image_memory_is_one_filtered_image_and_filter_scratch_per_worker(
     monkeypatch, masks, workers, noise_kinds, bound
 ):
-    # In image sizes above the clean image: the scan stack (2) until the last
-    # noise kind is drawn, one noisy stack (2), the labels (0.125), and per
+    # In image sizes above the clean image: the two scans (2) until the last
+    # noise kind is applied, two noisy planes (2), the labels (0.125), and per
     # worker one filtered image together with its filter's band scratch (at
     # most 1.29 here, the k = 3 adaptive median), so 5.41 on one worker and
     # 6.66 on two. PSNR holds one node of its pairwise sum (0.06), not a
-    # difference image. For one noise kind on two workers the scan stack is
-    # gone before its tasks, and the peak, 5.13, is the noise draw: the scan
-    # stack, the noisy stack and the noise plane. What the call leaves traced
-    # is the interpreter's own bookkeeping, not counted: about 0.12 for each
-    # block of obmalloc's arena map, allocated when a new arena lands in an
-    # unmapped address range. A first call on a crop makes the lazy imports
-    # and the pool before tracing starts.
+    # difference image. For one noise kind on two workers the scans are gone
+    # before its tasks, and the peak, 5.13, is where the noise is applied: the
+    # two scans, the two noisy planes and the noise plane. What the call
+    # leaves traced is the interpreter's own bookkeeping, not counted: about
+    # 0.12 for each block of obmalloc's arena map, allocated when a new arena
+    # lands in an unmapped address range. A first call on a crop makes the
+    # lazy imports and the pool before tracing starts.
     monkeypatch.setattr(pipeline, "_worker_count", lambda: workers)
     img = disks(1024)[:, :1022].copy()
     cfg = PipelineConfig(inputs=(), noise_kinds=noise_kinds, kernels=(3, 7))
