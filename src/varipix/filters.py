@@ -23,8 +23,8 @@ they arrive: uint8 region bits in literal mode, block_labels' narrowest
 unsigned dtype in block mode, so the window compare moves one or two bytes
 per pixel.
 
-Every plane-major band reads its k*k shifted planes in one layout
-(_runs). The halo band is flattened, and each plane, in row-major window
+Every band reads its k*k shifted planes in one layout
+(_run_stack). The halo band is flattened, and each plane, in row-major window
 order, is one contiguous run of it, read in place: output pixel (y, x)
 sits at y * width + x of every run, width being the halo band's row
 length, and the k - 1 samples between two output rows are computed and
@@ -44,13 +44,27 @@ needed (the middle one for the box filter; 0..k*k//2 for the adaptive
 filter, whose non-candidates are +inf and whose per-pixel rank is then
 picked). The box filter's network reads the runs in place: the first
 pass that touches a run writes it into a buffer of its own. Min and max
-never round, so the network returns the sort's values. For larger k the
-pruned network makes more min/max passes than the sort costs, so the
-band builds its window stack pixel-major, (band pixels, k*k) in row-major
-window order, takes its anchors from the center of the halo band, and
-sorts along the contiguous last axis. The band bounds that stack. The
-sort and the network may return different zeros when -0.0 and 0.0 tie,
-so a zero median is always written as +0.0.
+never round, so the network returns the sort's values.
+
+For larger k the pruned network makes more min/max passes than a sort
+costs, so the band sorts integer keys, which sort twice as fast as
+float64 samples. The halo band is argsorted once, and a sample's key is
+its rank in it, with its label, less the band's smallest label, in the
+bits above; the box filter's keys have no label bits. Row p of the key
+stack holds the keys at position p of every run and is sorted. In a
+sorted row the anchor's candidates are one group, in value order: its
+offset is the number of window labels below the anchor's and its length
+the number equal to it, both counted by one compare of every run with
+the center run. The group's middle rank, and the next one for an even
+count, map back through the sorted band to their samples. Keys are
+uint32, or uint64 for a band whose rank and label bits together need
+more than 32 (_KEY_BITS). The band bounds the key stack, four bytes per
+window sample.
+
+Tied samples get distinct ranks, but a picked rank's sample has the
+tie's bits whichever order the ties took, except for -0.0 and 0.0. The
+key sort and the network may return either of those zeros, so a zero
+median is always written as +0.0.
 
 A filter call runs its bands one after another on the calling thread.
 The pipeline runs whole filter calls in parallel, as tasks
@@ -63,7 +77,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .imgio import as_image, as_labels
 from .scan import block_labels
@@ -76,16 +90,20 @@ FILTER_MODES = ("square", *(f"adaptive-{m}" for m in ADAPTIVE_MODES))
 DEFAULT_FILTER_MODE = "square"
 DEFAULT_KERNEL = 5
 
-# Row-band sizes, for a working set of about 1.6 MB per band. A median
-# band holds about _MEDIAN_BAND_SAMPLES window samples (4096 pixels at
-# k = 7); a mean band holds no window stack, only a few planes of
-# _MEAN_BAND_PIXELS pixels, so a 240x240 fixture is one mean band.
+# Row-band sizes, for a working set of at most about 1.6 MB per band. A
+# median band holds about _MEDIAN_BAND_SAMPLES window samples (4096 pixels
+# at k = 7): float64 runs in a network, uint32 keys in a key sort. A mean
+# band holds no window stack, only a few planes of _MEAN_BAND_PIXELS
+# pixels, so a 240x240 fixture is one mean band.
 _MEDIAN_BAND_SAMPLES = 4096 * 49
 _MEAN_BAND_PIXELS = 65536
 # The largest k whose median runs as a selection network. From k = 5 on,
 # the pruned networks (202 and 236 min/max passes at k = 5) measured
 # slower than the sort.
 _NETWORK_MAX_K = 3
+# Larger medians sort uint32 keys, rank and label bits together, unless a
+# band's ranks and label span need more bits than this; then uint64 keys.
+_KEY_BITS = 32
 
 
 def check_kernel(k) -> None:
@@ -126,16 +144,25 @@ def _halo(a: np.ndarray, top: int, bottom: int, pad: int) -> np.ndarray:
     return out
 
 
-def _runs(padded: np.ndarray, k: int) -> list:
-    """A halo band's k*k shifted planes in row-major window order, as contiguous runs of the flattened band.
+def _run_stack(padded: np.ndarray, k: int) -> np.ndarray:
+    """A halo band's k*k shifted planes, as one read-only (k, k, run length) view.
 
-    Output pixel (y, x) sits at y * width + x of every run, width being the
-    halo band's row length; sliding_window_view(run, w)[::width] cuts the
-    (h, w) output back out of a run.
+    [dy, dx] is the plane of window offset (dy, dx), one contiguous run of
+    the flattened band. Output pixel (y, x) sits at y * width + x of every
+    run, width being the halo band's row length;
+    sliding_window_view(run, w)[::width] cuts the (h, w) output back out of
+    a run.
     """
     width, flat = padded.shape[1], padded.ravel()
     size = flat.size - (k - 1) * (width + 1)  # the last run ends where the band ends
-    return [flat[dy * width + dx : dy * width + dx + size] for dy, dx in np.ndindex(k, k)]
+    step = flat.itemsize
+    return as_strided(flat, (k, k, size), (width * step, step, step), writeable=False)
+
+
+def _runs(padded: np.ndarray, k: int) -> list:
+    """The band's runs (_run_stack) as a list, in row-major window order."""
+    stack = _run_stack(padded, k)
+    return [stack[dy, dx] for dy, dx in np.ndindex(k, k)]
 
 
 def _band_mean(padded, padded_lab, k, out) -> None:
@@ -217,18 +244,13 @@ def _select(planes: list, ranks: tuple[int, ...], views: bool = False) -> list:
     return [planes[r] for r in ranks]
 
 
-def _rank(stack: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """The value of the given per-row rank in a row-sorted stack."""
-    return np.take_along_axis(stack, rank[:, None], axis=1)[:, 0]
-
-
 def _middle(count: np.ndarray, value_at) -> np.ndarray:
     """The median of count candidates per pixel; value_at(r) gives each pixel's value at rank r."""
-    mid = value_at((count - 1) // 2)
-    even = count % 2 == 0
-    if np.any(even):
-        mid[even] = 0.5 * (mid[even] + value_at(count // 2)[even])
-    return mid
+    low, high = value_at((count - 1) // 2), value_at(count // 2)
+    with np.errstate(over="ignore"):  # an odd count's low + low may overflow, but is not taken
+        high += low
+    high *= 0.5
+    return np.where(count & 1, low, high)
 
 
 def _pick(planes: list, rank: np.ndarray) -> np.ndarray:
@@ -239,44 +261,62 @@ def _pick(planes: list, rank: np.ndarray) -> np.ndarray:
     return value
 
 
-def _band_median(padded, padded_lab, k, out) -> None:
-    """Median over one band, by selection network for k <= 3 and by sorting each window for larger k."""
-    h, w = out.shape
+def _key_median(padded, padded_lab, k) -> np.ndarray:
+    """The band's medians as one run (_runs), by sorting one integer key per window sample.
+
+    A key is the sample's rank in the halo band (argsort order, ties in any
+    order), with its label, less the band's smallest label, in the bits
+    above; values maps a rank back to its sample. Row p of the stack holds
+    the keys at position p of every run, in row-major window order, and is
+    sorted: the anchor's candidates are then one group in value order,
+    after the window samples whose labels are lower than the anchor's.
+    """
     n = k * k
-    if k <= _NETWORK_MAX_K:
-        planes = _runs(padded, k)
-        if padded_lab is None:
-            median = _select(planes, (n // 2,), views=True)[0]
-        else:
-            labs = _runs(padded_lab, k)
-            count = np.zeros(planes[0].shape, dtype=np.min_scalar_type(n))
-            for i, lab in enumerate(labs):
-                match = lab == labs[n // 2]  # the center run is the anchor
-                count += match
-                planes[i] = np.where(match, planes[i], np.inf)
-            ranks = _select(planes, tuple(range(n // 2 + 1)))
-            median = _middle(count, lambda r: _pick(ranks, r))
-        out[...] = sliding_window_view(median, w)[:: padded.shape[1]]
+    flat = padded.ravel()
+    order = flat.argsort()
+    values = flat[order]
+    rank_bits = (flat.size - 1).bit_length()
+    low = span = 0
+    if padded_lab is not None:
+        low = padded_lab.min()
+        span = int(padded_lab.max()) - int(low)
+    dtype = np.uint32 if rank_bits + span.bit_length() <= _KEY_BITS else np.uint64
+    keys = np.empty(flat.size, dtype)
+    keys[order] = np.arange(flat.size, dtype=dtype)
+    if span:
+        keys |= np.subtract(padded_lab.ravel(), low, dtype=dtype) << dtype(rank_bits)
+    stack = _run_stack(keys.reshape(padded.shape), k).transpose(2, 0, 1).copy().reshape(-1, n)
+    stack.sort(axis=-1)
+    if not span:  # every window sample is a candidate
+        return values[stack[:, n // 2]]
+    labs = _run_stack(padded_lab, k)
+    match = np.less(labs, labs[k // 2, k // 2])  # the center run is the anchor
+    below = np.add.reduce(match.view(np.uint8), axis=(0, 1), dtype=np.min_scalar_type(n))
+    np.equal(labs, labs[k // 2, k // 2], out=match)
+    count = np.add.reduce(match.view(np.uint8), axis=(0, 1), dtype=below.dtype)
+    start = np.arange(0, below.size * n, n) + below
+    rank_mask = dtype((1 << rank_bits) - 1)
+    return _middle(count, lambda r: values.take(stack.take(start + r) & rank_mask))
+
+
+def _band_median(padded, padded_lab, k, out) -> None:
+    """Median over one band, by selection network for k <= 3 and by sorting each window's keys for larger k."""
+    n = k * k
+    if k > _NETWORK_MAX_K:
+        median = _key_median(padded, padded_lab, k)
+    elif padded_lab is None:
+        median = _select(_runs(padded, k), (n // 2,), views=True)[0]
     else:
-        # each pixel's k*k window is one contiguous row of the stack, sorted
-        windows = sliding_window_view(padded, (k, k))  # (h, w, k, k), row-major window order
-        if padded_lab is None:
-            stack = windows.copy().reshape(h * w, n)
-            stack.sort(axis=-1)
-            out[...] = stack[:, n // 2].reshape(h, w)
-        else:
-            anchor = padded_lab[k // 2 : k // 2 + h, k // 2 : k // 2 + w]
-            match = np.empty((h, w, k, k), dtype=bool)
-            # Laid out pixel-major, computed with the image column innermost: long runs, not runs of k.
-            np.equal(
-                sliding_window_view(padded_lab, (k, k)).transpose(0, 2, 3, 1),
-                anchor[:, None, None, :],
-                out=match.transpose(0, 2, 3, 1),
-            )
-            stack = np.where(match, windows, np.inf).reshape(h * w, n)
-            count = np.einsum("ij->i", match.reshape(h * w, n), dtype=np.intp)
-            stack.sort(axis=-1)
-            out[...] = _middle(count, lambda r: _rank(stack, r)).reshape(h, w)
+        planes = _runs(padded, k)
+        labs = _runs(padded_lab, k)
+        count = np.zeros(planes[0].shape, dtype=np.min_scalar_type(n))
+        for i, lab in enumerate(labs):
+            match = lab == labs[n // 2]  # the center run is the anchor
+            count += match
+            planes[i] = np.where(match, planes[i], np.inf)
+        ranks = _select(planes, tuple(range(n // 2 + 1)))
+        median = _middle(count, lambda r: _pick(ranks, r))
+    out[...] = sliding_window_view(median, out.shape[1])[:: padded.shape[1]]
     out += 0.0  # -0.0 + 0.0 is +0.0, and no other value changes: a zero median is always +0.0
 
 
@@ -285,12 +325,13 @@ def _window_filter(img: np.ndarray, labels: np.ndarray | None, k: int, statistic
 
     Candidates are the window pixels whose label equals the anchor's,
     compared in the labels' own unsigned dtype; labels=None makes every
-    pixel a candidate. A non-candidate holds the statistic's neutral value:
-    0.0 in the mean's sum, +inf in the median's sort, which puts it after
-    every finite candidate. The output rows are cut into bands
-    (_band_rows); each band pads its rows with its own k//2 halo,
-    edge-replicated at the image border, and writes only its own output
-    rows, so the band height never changes a bit.
+    pixel a candidate. In the mean's sum a non-candidate adds 0.0; in a
+    median's selection network it is +inf, after every finite candidate,
+    and the key sort puts the candidates in a group of their own. The
+    output rows are cut into bands (_band_rows); each band pads its rows
+    with its own k//2 halo, edge-replicated at the image border, and
+    writes only its own output rows, so the band height never changes a
+    bit.
     """
     h, w = img.shape
     pad = k // 2

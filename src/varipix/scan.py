@@ -25,7 +25,8 @@ The fused scan keeps each block's winner as it scores the masks: its
 index, its two region means and its score, replaced only by a strictly
 lower score, so ties keep the lowest index as argmin does. The plane
 tensor is freed before the image is built: each winner's bits become
-the labels, and its two means are written straight into the image.
+the labels, and its two means are written straight into the image. The
+square scan, too, frees its planes once it has the block means.
 """
 
 from __future__ import annotations
@@ -171,7 +172,8 @@ def scan_square(img: np.ndarray) -> np.ndarray:
     """Replace every 6x6 block with its arithmetic mean (square baseline)."""
     planes, shape = _to_planes(img)
     means = _pairwise(planes, len(planes)) / len(planes)
-    return _from_planes(np.broadcast_to(means, planes.shape), shape)
+    del planes  # freed before the image is built from the means
+    return _from_planes(np.broadcast_to(means, (BLOCK * BLOCK, means.size)), shape)
 
 
 def scan_parallel_fused(img: np.ndarray, maskset: MaskSet, criterion: str = DEFAULT_CRITERION) -> ScanResult:

@@ -286,8 +286,7 @@ def test_band_height_and_worker_count_never_change_a_bit(monkeypatch, k, statist
     if integer_valued:
         img = np.floor(img / 32.0)  # eight levels, so windows hold rank ties
     labels = gen.integers(0, 2, size=(h, w), dtype=np.int64)
-    want = {mode: naive_adaptive_filter(img, labels, k, statistic, mode=mode) for mode in ADAPTIVE_MODES}
-    want["box"] = naive_adaptive_filter(img, np.zeros_like(labels), k, statistic)
+    want = _oracle_filters(img, labels, k, statistic)
     for rows in (h + 1, 1, 7):
         monkeypatch.setattr(filters, "_band_rows", lambda statistic, k, w, rows=rows: rows)
         got = _all_filters(img, labels, k, statistic)
@@ -322,10 +321,11 @@ def _filter_on_threads(workers, img, labels, statistic, mode):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_median_memory_is_bounded_by_the_band(workers):
-    # The whole-image k = 7 window stack is 49 * 240 * 240 * 8 bytes (~22.6 MB);
-    # the banded median holds one band stack per filtering thread, so two
-    # filters at once (the pipeline's calling thread and a helper) stay
-    # under the same quarter of one whole-image stack.
+    # A whole-image k = 7 window stack of float64 samples would be
+    # 49 * 240 * 240 * 8 bytes (~22.6 MB); the banded median holds one band's
+    # uint32 key stack per filtering thread, so two filters at once (the
+    # pipeline's calling thread and a helper) stay under the same quarter of
+    # one whole-image stack.
     gen = np.random.default_rng(3)
     img = gen.random((240, 240)) * 255.0
     labels = gen.integers(0, 2, size=(240, 240), dtype=np.int64)
@@ -433,13 +433,14 @@ def test_selection_networks_are_pruned_to_their_ranks():
 
 
 def test_zero_medians_are_positive_zero_and_equal_the_oracle():
-    # Which of the tied zeros the sort or the network picks is not defined, so
-    # the median writes every zero as +0.0; the oracle's stable sort may give -0.0.
+    # Which of the tied zeros the key sort or the network picks is not defined
+    # (the argsort ranks -0.0 and 0.0 in either order), so the median writes
+    # every zero as +0.0; the oracle's stable sort may give -0.0.
     gen = np.random.default_rng(0)
     for _ in range(100):
         img = gen.choice(np.array([-1.0, -0.0, 0.0, 1.0]), size=(7, 9))
         labels = gen.integers(0, 2, size=img.shape, dtype=np.int64)
-        for k in (3, 5):
+        for k in (3, 5, 7):
             got = _all_filters(img, labels, k, "median")
             for key, value in got.items():
                 if key == "box":
@@ -448,6 +449,72 @@ def test_zero_medians_are_positive_zero_and_equal_the_oracle():
                     want = naive_adaptive_filter(img, labels, k, "median", mode=key)
                 assert np.array_equal(value, want), (key, k)
                 assert not np.signbit(value[value == 0.0]).any(), (key, k)
+
+
+def _oracle_filters(img, labels, k, statistic):
+    with np.errstate(over="ignore"):  # the oracle adds numpy scalars, which warn as a midpoint overflows
+        want = {mode: naive_adaptive_filter(img, labels, k, statistic, mode=mode) for mode in ADAPTIVE_MODES}
+        want["box"] = naive_adaptive_filter(img, np.zeros_like(labels), k, statistic)
+    return want
+
+
+def _key_median_image(gen, case, shape):
+    if case == "equal runs":  # four levels: every window holds runs of tied samples
+        return np.floor(gen.random(shape) * 4.0)
+    # negative samples, and +-1e308, whose even midpoints overflow to +-inf as in the oracle
+    return gen.choice(np.array([-1e308, -7.25, -1.0, 0.0, 0.5, 3.0, 1e308]), size=shape)
+
+
+@pytest.mark.parametrize("k", [5, 7])
+@pytest.mark.parametrize("case", ["equal runs", "extremes"])
+@pytest.mark.parametrize("band_rows", [None, 1])
+@pytest.mark.parametrize("key_bits", [32, 8])
+def test_key_median_matches_oracle_bit_for_bit(monkeypatch, k, case, band_rows, key_bits):
+    # band_rows=1: one output row per band, so each band's argsort ranks only k rows;
+    # key_bits=8 leaves no band enough bits for uint32 keys, so every band sorts uint64 keys
+    monkeypatch.setattr(filters, "_KEY_BITS", key_bits)
+    if band_rows is not None:
+        monkeypatch.setattr(filters, "_band_rows", lambda statistic, k, w: band_rows)
+    gen = np.random.default_rng(k)
+    for shape in ((17, 19), (1, 23)):
+        img = _key_median_image(gen, case, shape)
+        labels = gen.integers(0, 2, size=shape, dtype=np.int64)
+        want = _oracle_filters(img, labels, k, "median")
+        with np.errstate(over="raise"):  # no overflow warning from a midpoint that is not taken
+            got = _all_filters(img, labels, k, "median")
+        for key, value in got.items():
+            assert value.tobytes() == want[key].tobytes(), (key, shape)
+
+
+@pytest.mark.parametrize("choices", [(0, 5, 2**31 - 1, 2**31), (2**31 - 1, 2**31)])
+def test_key_median_of_wide_labels_matches_oracle_bit_for_bit(choices):
+    # Labels 0 to 2**31 span 32 bits, so with the rank bits every band needs
+    # uint64 keys; labels 2**31 - 1 and 2**31 span one bit, so their keys
+    # are uint32, with the label less the band's smallest. The window kernel
+    # compares unsigned labels of any size.
+    gen = np.random.default_rng(31)
+    img = np.floor(gen.random((15, 21)) * 8.0)
+    labels = gen.choice(np.array(choices, dtype=np.uint32), size=img.shape)
+    for k in (5, 7):
+        got = filters._window_filter(img, labels, k, "median")
+        want = naive_adaptive_filter(img, labels.astype(np.int64), k, "median")
+        assert got.tobytes() == want.tobytes(), k
+
+
+@pytest.mark.parametrize("k", [5, 7])
+def test_block_labels_past_sixteen_bits_match_oracle_bit_for_bit(k):
+    # 182 x 182 blocks: block-mode labels reach 66247, so they compare as
+    # uint32. Candidates never leave the anchor's block, and the crop is cut
+    # at block edges and shares the image's bottom and right edges, so the
+    # crop's oracle holds for every pixel whose window stays inside the crop.
+    gen = np.random.default_rng(16 + k)
+    img = np.floor(gen.random((1092, 1092)) * 16.0)
+    labels = gen.integers(0, 2, size=img.shape, dtype=np.int64)
+    assert block_labels(labels).dtype == np.uint32
+    got = adaptive_filter(img, labels, k, statistic="median", mode="block")
+    crop, pad = 24, k // 2
+    want = naive_adaptive_filter(img[-crop:, -crop:], labels[-crop:, -crop:], k, "median", mode="block")
+    assert got[-crop + pad :, -crop + pad :].tobytes() == want[pad:, pad:].tobytes()
 
 
 def test_adaptive_mean_of_negative_input_matches_oracle_bit_for_bit():

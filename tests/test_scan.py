@@ -490,6 +490,22 @@ def test_fused_scan_memory_is_the_planes_and_its_image():
     assert peak - left <= 1.7 * img.nbytes, (peak - left) / img.nbytes
 
 
+def test_square_scan_memory_is_the_planes_or_its_image():
+    # In image sizes: the plane tensor (1.01 at 509x512) while the block
+    # means are taken; it is freed before the image (1) is built from them,
+    # so the peak is 1.35, where both alive at once would be 2.04.
+    img = np.random.default_rng(24).random((509, 512)) * 255.0
+    want = scan_square(img)
+    tracemalloc.start()
+    try:
+        got = scan_square(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak <= 1.5 * img.nbytes, peak / img.nbytes
+
+
 def test_negative_zero_image_scans_to_positive_zero():
     img = np.full((13, 29), -0.0)
     zeros = np.zeros(img.shape).tobytes()
