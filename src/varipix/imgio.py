@@ -26,31 +26,39 @@ x exactly when 2 * |m * 5**k - D * 2**(s-k)| < 5**k (never equal, because
 5**k is odd). The smallest k with 10**k >= 2**s always round-trips; below it
 at most the nearest multiple of 10 does, and each of its trailing zeros is
 one digit fewer, so the shortest digits come from one 128-bit product (the
-approach of Ryu and Schubfach). This exact path takes 0.0 and -0.0, integral
-|x| < 2**52 (written `<int>.0`) and non-integral 1e-3 <= |x| < 2**31; repr
-writes only the values outside it. The only powers of two in that range,
-2**-1 to 2**-9, are exact at their first candidate, so their lopsided
-rounding interval never matters.
+approach of Ryu and Schubfach). This exact path takes +0.0 <= x < 1000:
+the integral values, written `<int>.0`, and the non-integral ones from 1e-3
+up. That window is the program's traffic. Its images hold intensities in
+[0, 255], and of the 35,712,000 values of a dumped five-fixture `varipix
+run` (both adaptive modes, the three noises, k 3/5/7, mean and median)
+none was negative, -0.0 or >= 1000, and 4 were non-integral below 1e-3.
+From +0.0 up a double's uint64 bits are ordered as its value, and a set
+sign bit puts every negative above them, so two compares of the bits find
+the window. repr writes the values outside it. The only powers of two in
+the window, 2**-1 to 2**-9, are exact at their first candidate, so their
+lopsided rounding interval never matters.
 
-D's whole part is floor(|x|): no integer lies strictly between x and a
+D's whole part is floor(x): no integer lies strictly between x and a
 D / 10**k that reads back as x, because that integer would itself be a
 double at least as close to D / 10**k. So the fraction part is
-D - floor(|x|) * 10**k, with no division.
+D - floor(x) * 10**k, with no division.
 
 The bytes are laid out as four-digit ASCII words, one row of words per
 column of the dump, and written 16384 values at a time; NUL bytes pad the
 words and are deleted on the way out. Each value's words are its whole
-part, from a table of words with the leading zeros NUL, and its fraction
-part, zero-padded to ceil((kmax + 1) / 4) words for the chunk's largest k.
-One take per fraction word from an XOR table turns the zeros before the
-kept digits to NUL (^0x30) and the last of them to '.' (^0x1E), so the
-'.' needs no word of its own. Each value's separator, the one that ends
-the value before it, goes into byte 0 of the value's first word: the sign
-word, which holds '-' in byte 1, or else the whole-part word when every
-whole part of the chunk is below 1000 (its byte 0 is a NUL), or else a
-word of its own. The file's first value has no separator, and the file
-ends with one '\n'. A noisy intensity takes at most six words (24 bytes
-for about 18.5 written) and an integral one two.
+part, one word from a table of words with the leading zeros NUL, and its
+fraction part, zero-padded to ceil((kmax + 1) / 4) words for the chunk's
+largest k. One take per fraction word from an XOR table turns the zeros
+before the kept digits to NUL (^0x30) and the last of them to '.'
+(^0x1E), so the '.' needs no word of its own. A whole part below 1000
+leaves byte 0 of its word NUL, so each value's separator, the one that
+ends the value before it, always goes there. The file's first value has
+no separator, and the file ends with one '\n'. A noisy intensity takes at
+most six words (24 bytes for about 18.5 written) and an integral one two.
+A value repr writes takes its row of the grid, seven words wide or more
+(a repr and its separator take up to 25 bytes), and the reprs are built
+and spliced in 512 values at a time, so that no chunk builds a list or a
+bytes array of all its reprs.
 
 A write_raw call allocates its work arrays once, for one chunk, and
 builds their views once per call: eight uint64 rows, named in `_work`, that
@@ -59,12 +67,11 @@ chunk's text is copied out and its NULs deleted 64 KB at a time (2730
 six-word values): larger pieces raised the traced peak, and 48 KB ones
 the peak RSS. So no chunk allocates a large array. On a 2-core x86 host
 the 35 dumps of a `dump_roundtrip` job peak at 1.79 MB traced, and a
-240x240 dump of the widest rows (signed 10-digit whole parts, 17
-fraction digits, repr-written values) at 1.86 MB. A larger chunk makes
-fewer numpy calls per value, and each call on a chunk-sized array hands
-the GIL to a task thread that waits for it: two threads writing dumps at
-once with 8192 values per chunk ran no faster than one thread writing
-them all.
+240x240 dump that repr writes whole (values of +-2e9, below 1e-4 or near
+1e20) at 1.91 MB. A larger chunk makes fewer numpy calls per value, and
+each call on a chunk-sized array hands the GIL to a task thread that waits
+for it: two threads writing dumps at once with 8192 values per chunk ran
+no faster than one thread writing them all.
 """
 
 from __future__ import annotations
@@ -259,18 +266,20 @@ def read_labelmap(path) -> LabelMap:
 
 _CHUNK = 16384  # values per write; see the module docstring
 _PIECE = 65536  # bytes of text copied out and stripped of NULs at a time, in whole values; see the module docstring
+_REPRS = 512  # repr-written values spliced into the text at a time; see the module docstring
 _ROWS = ("m", "s", "k", "p", "t", "b", "c", "e")  # the writer's work rows; see _work
 _U64 = np.uint64
 _M32, _S32, _ONE, _TEN = _U64(0xFFFFFFFF), _U64(32), _U64(1), _U64(10)
+_LOW, _TOP = np.array([1e-3, 1000.0]).view(_U64)  # the bits of the exact path's bounds; see _write_chunk
 
 
-def _xor_masks(n: int, dot: bool) -> np.ndarray:
+def _xor_masks(n: int) -> np.ndarray:
     """Per word g < n and j < 4*n, the '<u4' mask that turns the first j of 4*n zero-padded digits from '0' to NUL.
 
-    With dot, digit j also turns from '0' to '.'. Row g is word g's table, indexed by j.
+    Digit j turns from '0' to '.'. Row g is word g's table, indexed by j.
     """
     j, byte = np.arange(4 * n)[:, None], np.arange(4 * n)
-    masks = np.where(byte < j, 0x30, np.where(byte == j, 0x1E * dot, 0)).astype(np.uint8)
+    masks = np.where(byte < j, 0x30, np.where(byte == j, 0x1E, 0)).astype(np.uint8)
     return np.ascontiguousarray(masks.view("<u4").T)
 
 
@@ -281,8 +290,8 @@ def _tables() -> SimpleNamespace:
     words: '<u4' ASCII words "0000".."9999", and short: the same words with
     their leading zeros NUL, "0" kept; k, pow5, shift: per s, the smallest k
     with 10**k >= 2**s (it always round-trips), 5**k and s - k; pow10: uint64
-    10**e for e <= 19, the largest k; lead and dot: per width n, _xor_masks
-    without and with the '.' (whole parts take up to 4 words, fractions 5).
+    10**e for e <= 19, the largest k; dot: per width n, _xor_masks (a
+    fraction takes up to 5 words).
     """
     i = np.arange(10000)
     words = sum((i // 10**p % 10 + ord("0")) << 8 * (3 - p) for p in range(4)).astype("<u4")
@@ -293,7 +302,7 @@ def _tables() -> SimpleNamespace:
         words=words, k=k, pow5=pow5, shift=shift,
         short=words & blank[4 - sum(i >= 10**p for p in range(4)) - (i == 0)],
         pow10=np.array([10**e for e in range(20)], dtype=np.uint64),
-        lead=[_xor_masks(n, False) for n in range(5)], dot=[_xor_masks(n, True) for n in range(6)],
+        dot=[_xor_masks(n) for n in range(6)],
     )
 
 
@@ -304,21 +313,20 @@ def _work(n: int) -> SimpleNamespace:
     and reused by each stage of a chunk in turn. In that order, they hold:
 
       m  the window's mantissas m, then its D; then 10**k, and the digit
-         loops' q
+         loop's q
       s  the window's s, then _shortest's a; then every value's D and then
          its fraction part
-      k  the window's k; then the digit loops' r
+      k  the window's k; then the digit loop's r
       p  _shortest's 5**k; then every value's k and then its fraction's
          digit-word indices
       t  _shortest's s - k; then the whole parts
       b  _shortest's scratch; then one digit word's XOR masks
-      c  floor(|x|); then _shortest's scratch; then |x| again, and the
-         whole part's digit-word indices
-      e  |x| and its bits; then _shortest's scratch
+      c  floor(x); then _shortest's scratch; then x clipped to [0, 999]
+      e  _shortest's scratch
 
-    _shortest needs all eight rows, so the whole parts are taken from |x|
-    again after it. flags: five bool rows; text: the chunk's digit
-    words, one row per column of the dump, grown to the widest chunk written.
+    _shortest needs all eight rows, so the whole parts are taken from x
+    after it. flags: five bool rows; text: the chunk's digit words, one
+    row per column of the dump, grown to the widest chunk written.
     """
     return SimpleNamespace(
         pool=np.empty((len(_ROWS), n), dtype=np.uint64),
@@ -434,28 +442,26 @@ def _write_chunk(fh, x, start: int, width: int, tables, work, rows) -> None:
     """
     n = x.size
     u, i, f, flags = rows  # the rows' uses, in order, are listed in _work
-    integral, window, neg, _, flag = flags
-    ax = np.abs(x, out=f.e)
-    np.equal(np.floor(ax, out=f.c), ax, out=integral)
-    integral &= np.less(ax, 2.0**52, out=flag)
-    np.greater_equal(ax, 1e-3, out=window)
-    window &= np.less(ax, 2.0**31, out=flag)
+    integral, window, _, _, flag = flags
+    bits = x.view(np.uint64)  # ordered as the values from +0.0 up; every negative's sign bit puts it above them
+    np.equal(np.floor(x, out=f.c), x, out=integral)
+    integral &= np.less(bits, _TOP, out=window)  # +0.0 <= x < 1000
+    window &= np.greater_equal(bits, _LOW, out=flag)
     window &= np.logical_not(integral, out=flag)
     # a finite double in the window is m / 2**s with m = 2**52 | its mantissa bits and s = 1075 - its exponent
     # bits; the window's values are compacted to the front of rows m and s
     fast = np.flatnonzero(window)
     nf = fast.size
-    bits = np.take(u.e, fast, out=u.m[:nf], mode="clip")
-    np.right_shift(bits, _U64(52), out=u.s[:nf])
+    m = np.take(bits, fast, out=u.m[:nf], mode="clip")
+    np.right_shift(m, _U64(52), out=u.s[:nf])
     np.subtract(1075, i.s[:nf], out=i.s[:nf])
-    np.bitwise_and(bits, _U64(2**52 - 1), out=u.m[:nf])
-    u.m[:nf] |= _U64(2**52)
+    m &= _U64(2**52 - 1)
+    m |= _U64(2**52)
     _shortest(tables, rows, nf)
-    # no integer lies strictly between x and a D / 10**k that reads back as it, so floor(|x|) is D's whole part
-    at = np.flatnonzero(np.logical_not(np.logical_or(integral, window, out=flag), out=flag))
-    whole = np.abs(x, out=f.c)  # again: _shortest overwrote rows c and e
-    whole[at] = 0.0  # the values repr writes; every other whole part is below 2**52
-    np.copyto(i.t, whole, casting="unsafe")  # truncation, so floor(|x|)
+    at = np.flatnonzero(np.logical_not(np.logical_or(integral, window, out=flag), out=flag))  # the values repr writes
+    # no integer lies strictly between x and a D / 10**k that reads back as it, so floor(x) is D's whole part;
+    # clipping to [0, 999] keeps every such floor and gives the values repr writes one below 1000 too
+    np.copyto(i.t, np.clip(x, 0.0, 999.0, out=f.c), casting="unsafe")  # truncation, so floor(x)
     whole = i.t
     # every value as D / 10**k; `<int>.0` is D = 10 * int, k = 1
     d, k, q, r = i.s, i.p, i.m, i.k
@@ -466,40 +472,29 @@ def _write_chunk(fh, x, start: int, width: int, tables, work, rows) -> None:
     del fast
     scale = np.take(tables.pow10, k, out=q.view(np.uint64), mode="clip")
     d.view(np.uint64)[...] -= np.multiply(u.t, scale, out=scale)  # the fraction part; 10**19 needs uint64
-    w_max, k_max = int(whole.max()), int(k.max())
-    sign = bool(np.signbit(x, out=neg).any())
-    n_whole, n_part = -(-len(str(w_max)) // 4), (k_max + 4) // 4  # a fraction's k digits and its '.'
-    # each value's separator goes into byte 0 of its first word: the sign word ('-' in byte 1), else a whole
-    # part word with a NUL there (below 1000), else a word of its own
-    head = int(sign or w_max >= 1000)
-    cols = head + n_whole + n_part
+    n_part = (int(k.max()) + 4) // 4  # a fraction's k digits and its '.'
+    cols = 1 + n_part
     nrows = max(cols, 7) if at.size else cols  # a repr takes up to 25 bytes with its separator
     if work.text.size < nrows * work.pool.shape[1]:
         del work.text  # freed before the wider grid is allocated
         work.text = np.empty(nrows * work.pool.shape[1], dtype="<u4")
     text = work.text[: nrows * n].reshape(nrows, n)
     first, mask = text[0], u.b.view("<u4")[:n]
-    if head:
-        np.multiply(neg, 0x2D00, out=first, casting="unsafe")
-    if n_whole == 1:  # whole parts below 10000, as every intensity's: one lookup instead of the digit loop
-        np.take(tables.short, whole, out=text[head], mode="clip")
-    else:
-        j = i.c
-        j.fill(4 * n_whole - 1)
-        for p in tables.pow10[1 : 4 * n_whole]:
-            j -= np.greater_equal(u.t, p, out=flag)
-        _digit_words(whole, j, text[head : head + n_whole], tables.lead[n_whole], tables.words, q, r, mask)
+    # each value's separator, the one that ends the value before it, goes into byte 0 of its whole part's
+    # word, a NUL there below 1000
+    np.take(tables.short, whole, out=first, mode="clip")
     first |= 0x20  # ' '
     first[(-start) % width :: width] ^= 0x20 ^ 0x0A  # '\n' after the last value of a row
     if start == 0:
         first[0] &= 0xFFFFFF00  # the first value of the file follows the header's '\n'
     j = np.subtract(4 * n_part - 1, k, out=k)
-    _digit_words(d, j, text[head + n_whole : cols], tables.dot[n_part], tables.words, q, r, mask)
+    _digit_words(d, j, text[1:cols], tables.dot[n_part], tables.words, q, r, mask)
     text[cols:] = 0
     text = text.T
-    if at.size:  # repr itself, after its separator, NUL-padded into the row
-        reprs = [f"{chr(c & 0xFF)}{v!r}" for v, c in zip(x[at].tolist(), first[at].tolist())]
-        text[at] = np.array(reprs, dtype=f"S{4 * nrows}").view("<u4").reshape(at.size, -1)
+    for a in range(0, at.size, _REPRS):  # repr itself, after its separator, NUL-padded into the row
+        batch = at[a : a + _REPRS]
+        reprs = [f"{chr(c & 0xFF)}{v!r}" for v, c in zip(x[batch].tolist(), first[batch].tolist())]
+        text[batch] = np.array(reprs, dtype=f"S{4 * nrows}").view("<u4").reshape(batch.size, -1)
     piece = max(1, _PIECE // (4 * nrows))
     for a in range(0, n, piece):
         fh.write(text[a : a + piece].tobytes().translate(None, b"\0"))

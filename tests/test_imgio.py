@@ -28,7 +28,7 @@ from varipix import (
     write_raw,
 )
 from varipix.cli import main
-from varipix.imgio import _CHUNK, _PIECE, ImageFormatError, as_image, as_labels, read_image_header
+from varipix.imgio import _CHUNK, _PIECE, _REPRS, ImageFormatError, as_image, as_labels, read_image_header
 from varipix.synth import fixture_images
 
 
@@ -462,6 +462,29 @@ def test_raw_dumps_of_a_dump_roundtrip_run_match_repr(tmp_path):
         assert path.read_bytes() == repr_dump(read_image(path)), path.name
 
 
+def test_dumped_values_of_a_run_stay_in_the_exact_window(tmp_path):
+    # The raw writer's exact path takes +0.0 <= x < 1000 and repr writes the rest, so every value the program
+    # dumps must stay there: both adaptive modes, every noise, mean and median, k 3/5/7, on fixture crops.
+    src = tmp_path / "in"
+    src.mkdir()
+    for name, img in fixture_images().items():
+        write_pgm(img[90:150, 90:150], src / f"{name}.pgm")
+    for mode in ("literal", "block"):
+        out_dir = tmp_path / mode
+        args = [
+            "run", src, "--out-dir", out_dir, "--dump-intermediates", "--raw-intermediates", "--adaptive-mode", mode,
+            "--kernel", 3, "--kernel", 5, "--kernel", 7,
+        ]
+        result = CliRunner().invoke(main, [str(a) for a in args])
+        assert result.exit_code == 0, result.output
+        dumps = sorted(out_dir.glob("*.rawimg"))
+        assert len(dumps) == 5 * (2 + 3 * (2 + 3 * 3 * 2))
+        for path in dumps:
+            values = read_image(path)
+            # a clear sign bit is +0.0 <= x, and rules out -0.0
+            assert not np.signbit(values).any() and values.max() < 1000.0, path.name
+
+
 def edges(*values):
     """Each value, its nextafter neighbours, and their negations."""
     out = []
@@ -484,15 +507,14 @@ RAW_EDGE_CASES = {
     "short_decimals": edges(0.1, 0.3, 0.1 + 0.2, 2 / 3, 85.25, 1e-3 * 7, 123456.789, 2.0**31 - 0.5),
     # the only non-integral powers of two in the fast domain: a lopsided rounding interval, exact digits
     "fast_domain_powers_of_two": [sign * 2.0**-e for e in range(1, 10) for sign in (1, -1)],
-    # whole parts on each side of a new digit: the separator shares the sign word, or the whole part's word
-    # below 1000, or takes a word of its own
+    # whole parts on each side of a new digit, and of 1000 and the sign, where the exact path hands over to repr
     "whole_part_layouts": edges(*LAYOUT_WHOLES),
     **{
         f"whole_parts_below_{limit}_unsigned": [v for v in edges(*LAYOUT_WHOLES) if 0 < v < limit]
         for limit in (1000, 10000, 2**31)
     },
     # whole parts on each side of a new four-digit word, and reprs with 4, 5, 8, 9, 12, 13, 16 and 17
-    # fraction digits: the digit counts and leading-NUL masks change word there
+    # fraction digits: the fraction's digit counts and leading-NUL masks change word there
     "digit_word_boundaries": edges(
         9999.5, 10000.25, 99999999.5, 1e8 + 0.5, 999999999.5, 1e9 + 0.5, 2.0**31 - 0.25,
         0.1234, 0.12345, 0.12345678, 0.123456789, 0.123456789012, 0.1234567890123,
@@ -513,7 +535,8 @@ def test_raw_writer_rounds_exact_ties_half_to_even_as_repr_does(tmp_path, rng):
     # first candidate has the k fraction digits of the smallest 10**k >= 2**s.
     # Each odd n / 2**(k+1) lies exactly halfway between two such candidates.
     # Where 2**s < 2 * 10**(k-1) its (k-1)-digit neighbour always round-trips,
-    # so only the other binades of the window [1e-3, 2**31) hold a tie.
+    # so only the other binades of [1e-3, 2**31) hold a tie. The exact path takes
+    # the positive ones below 1000 (in 14 of them), and repr writes the rest.
     values, places = [], []
     for b in range(-10, 31):
         s = 52 - b
@@ -575,11 +598,12 @@ def test_raw_writer_matches_repr_across_row_and_chunk_ends(tmp_path, rng, shape)
 def test_raw_bytes_do_not_depend_on_the_chunk_size(tmp_path, rng, monkeypatch):
     # 2400 x 7 values: 7 divides none of the chunk sizes, and the last chunk of 4096 or 16384 is short;
     # each chunk's text is copied out in pieces of 1 byte to 64 KB, so of 1 to about 2730 values, whose
-    # ends fall mid-row too. A value takes 4 bytes per word of its chunk's grid: 7 * 36 bytes are the
-    # 7-value rows of the first 16384 values, whose grid is nine words wide, and 7 * 24 bytes the rows of
-    # the first 1024 values of the layouts below, six words wide.
+    # ends fall mid-row too. A value takes 4 bytes per word of its chunk's grid: 7 * 28 bytes are the
+    # 7-value rows of the first 16384 values, whose grid is seven words wide, and 7 * 24 bytes the rows of
+    # the first 1024 values of the layouts below, six words wide. The reprs are spliced in batches of 1,
+    # 5 or the default size, so batch ends fall anywhere in a chunk.
     # Per 4096 values: negatives or not, whole parts of 1 to `digits` digits and a few special
-    # values, so the sign column comes and goes and the grid width changes from chunk to chunk.
+    # values, so repr-written values come and go and the grid width changes from chunk to chunk.
     segments = []
     for negatives, digits, special in [
         (True, 1, [1e-7]),
@@ -596,9 +620,10 @@ def test_raw_bytes_do_not_depend_on_the_chunk_size(tmp_path, rng, monkeypatch):
         segments.append(v)
     img = np.concatenate(segments)[: 2400 * 7].reshape(2400, 7)
     assert img.size > _CHUNK
-    # Per 1024 values, one layout of the text grid: every value in the exact path's window (unsigned,
-    # then signed), every value integral, whole parts on both sides of 1000 (the separator takes a
-    # word of its own), and at most 15, 16 and 17 fraction digits (16 is the first to need a fifth word)
+    # Per 1024 values, one layout of the text grid: every value in the exact path's window, the same
+    # with every other one negated (repr writes those), every value integral, whole parts on both sides of
+    # 1000 (repr writes those above it), and at most 15, 16 and 17 fraction digits (16 is the first to
+    # need a fifth word)
     fraction = rng.random(1024) * 0.9 + 0.1
     layouts = [
         rng.random(1024) * 255.0 + 1e-3,
@@ -609,31 +634,40 @@ def test_raw_bytes_do_not_depend_on_the_chunk_size(tmp_path, rng, monkeypatch):
         np.round(fraction, 16),
         fraction,
     ]
-    assert all(1e-3 <= abs(v) < 2.0**31 and v != np.floor(v) for v in np.concatenate(layouts[:2]).tolist())
+    assert all(1e-3 <= abs(v) < 1000.0 and v != np.floor(v) for v in np.concatenate(layouts[:2]).tolist())
     assert np.array_equal(layouts[2], np.floor(layouts[2])) and layouts[3].min() < 1000.0 <= layouts[3].max()
     assert [max(len(r) - r.index(".") - 1 for r in map(repr, v.tolist())) for v in layouts[4:]] == [15, 16, 17]
     for image, sizes in [
-        (img, [(1, 1), (5, 2 * 36), (4096, 1000), (_CHUNK, 7 * 36), (_CHUNK, _PIECE)]),
+        (
+            img,
+            [
+                (1, 1, _REPRS), (5, 2 * 28, 1), (4096, 1000, 5), (_CHUNK, 7 * 28, 1), (_CHUNK, _PIECE, 5),
+                (_CHUNK, _PIECE, _REPRS),
+            ],
+        ),
         (
             np.concatenate(layouts).reshape(1024, 7),
-            [(5, 2 * 28), (1024, 100), (1024, 7 * 24), (4096, 1000), (_CHUNK, _PIECE)],
+            [(5, 2 * 28, 1), (1024, 100, 5), (1024, 7 * 24, 1), (4096, 1000, 5), (_CHUNK, _PIECE, _REPRS)],
         ),
     ]:
         expected = repr_dump(image)
-        for size, piece in sizes:
+        for size, piece, reprs in sizes:
             monkeypatch.setattr("varipix.imgio._CHUNK", size)
             monkeypatch.setattr("varipix.imgio._PIECE", piece)
+            monkeypatch.setattr("varipix.imgio._REPRS", reprs)
             write_raw(image, tmp_path / "t.rawimg")
-            assert (tmp_path / "t.rawimg").read_bytes() == expected, (size, piece)
+            assert (tmp_path / "t.rawimg").read_bytes() == expected, (size, piece, reprs)
 
 
 def test_raw_writer_holds_at_most_2_mb_for_a_240x240_dump(tmp_path, rng):
-    # The work arrays are allocated once per call, for one chunk. A noisy
-    # fixture, and the widest rows: signed 10-digit whole parts, 17 fraction
-    # digits and repr-written values.
+    # The work arrays are allocated once per call, for one chunk, and the reprs
+    # are built a batch at a time. A noisy fixture, and images that repr writes
+    # whole, in the widest rows: signed 10-digit whole parts with 17 fraction
+    # digits, values below 1e-4, and values near 1e20.
     wide = (rng.random((240, 240)) - 0.5) * 4e9
     wide.flat[::101] = 1e-7
-    for img in (apply_noise(fixture_images()["disks"], NoiseSpec("gaussian")), wide):
+    noisy = apply_noise(fixture_images()["disks"], NoiseSpec("gaussian"))
+    for img in (noisy, wide, rng.random((240, 240)) * 1e-4, rng.random((240, 240)) * 1e20):
         write_raw(img, tmp_path / "warm.rawimg")  # the cached tables are built before tracing
         tracemalloc.start()
         try:
