@@ -23,8 +23,9 @@ they arrive: uint8 region bits in literal mode, block_labels' narrowest
 unsigned dtype in block mode, so the window compare moves one or two bytes
 per pixel.
 
-Every band reads its k*k shifted planes in one layout
-(_run_stack). The halo band is flattened, and each plane, in row-major window
+Every mean band and every k <= 3 median band reads its k*k shifted
+planes in one layout (_run_stack), as does a larger median band's label
+count. The halo band is flattened, and each plane, in row-major window
 order, is one contiguous run of it, read in place: output pixel (y, x)
 sits at y * width + x of every run, width being the halo band's row
 length, and the k - 1 samples between two output rows are computed and
@@ -50,16 +51,23 @@ For larger k the pruned network makes more min/max passes than a sort
 costs, so the band sorts integer keys, which sort twice as fast as
 float64 samples. The halo band is argsorted once, and a sample's key is
 its rank in it, with its label, less the band's smallest label, in the
-bits above; the box filter's keys have no label bits. Row p of the key
-stack holds the keys at position p of every run and is sorted. In a
-sorted row the anchor's candidates are one group, in value order: its
-offset is the number of window labels below the anchor's and its length
-the number equal to it, both counted by one compare of every run with
-the center run. The group's middle rank, and the next one for an even
-count, map back through the sorted band to their samples. Keys are
-uint32, or uint64 for a band whose rank and label bits together need
-more than 32 (_KEY_BITS). The band bounds the key stack, four bytes per
-window sample.
+bits above; the box filter's keys have no label bits. The key stack has
+one row per output pixel, not per run position, and is built in two
+copies (_key_stack): first the k keys of each halo pixel's column of
+k rows, then each window's k columns, which lie next to each other, as
+one contiguous k*k slice. Copying a window's keys out of the runs moves
+them k at a time and cost as much as sorting them; the two copies cost
+less than half of that. A row lists its window column by column, but the
+keys are distinct, so the sorted row is the same. In a sorted row the
+anchor's candidates are one group, in value order: its offset is the
+number of window labels below the anchor's and its length the number
+equal to it, both counted by one compare of every run with the center
+run and cut to the output pixels. The group's middle rank, and the next
+one for an even count, map back through the sorted band to their
+samples. Keys are uint32, or uint64 for a band whose rank and label bits
+together need more than 32 (_KEY_BITS). The band bounds the key stack,
+four bytes per window sample, and its column array, about 1/k of the
+stack.
 
 Tied samples get distinct ranks, but a picked rank's sample has the
 tie's bits whichever order the ties took, except for -0.0 and 0.0. The
@@ -261,15 +269,30 @@ def _pick(planes: list, rank: np.ndarray) -> np.ndarray:
     return value
 
 
+def _key_stack(keys: np.ndarray, k: int, w: int) -> np.ndarray:
+    """Each output pixel's k*k keys as one contiguous row of a (rows * w, k*k) stack, column by column.
+
+    keys is the halo band's (rows + k - 1, width) key grid. The first copy
+    takes k keys per halo pixel, columns[y, x] = keys[y:y+k, x]; a window's
+    k columns are then k neighboring k-key rows of it, one contiguous
+    k*k slice, which the second copy takes for every output pixel.
+    """
+    rows, width, step = keys.shape[0] - k + 1, keys.shape[1], keys.itemsize
+    columns = as_strided(keys, (rows, width, k), (width * step, step, width * step)).copy()
+    stack = as_strided(columns, (rows, w, k * k), (width * k * step, k * step, step)).copy()
+    return stack.reshape(-1, k * k)
+
+
 def _key_median(padded, padded_lab, k) -> np.ndarray:
-    """The band's medians as one run (_runs), by sorting one integer key per window sample.
+    """The band's (rows, w) medians, by sorting one integer key per window sample.
 
     A key is the sample's rank in the halo band (argsort order, ties in any
     order), with its label, less the band's smallest label, in the bits
-    above; values maps a rank back to its sample. Row p of the stack holds
-    the keys at position p of every run, in row-major window order, and is
+    above; values maps a rank back to its sample. Row y * w + x of the
+    stack (_key_stack) holds output pixel (y, x)'s window keys and is
     sorted: the anchor's candidates are then one group in value order,
-    after the window samples whose labels are lower than the anchor's.
+    after the window samples whose labels are lower than the anchor's. The
+    label counts are taken on the runs and cut to the output pixels.
     """
     n = k * k
     flat = padded.ravel()
@@ -285,38 +308,46 @@ def _key_median(padded, padded_lab, k) -> np.ndarray:
     keys[order] = np.arange(flat.size, dtype=dtype)
     if span:
         keys |= np.subtract(padded_lab.ravel(), low, dtype=dtype) << dtype(rank_bits)
-    stack = _run_stack(keys.reshape(padded.shape), k).transpose(2, 0, 1).copy().reshape(-1, n)
+    width = padded.shape[1]
+    w = width - k + 1
+    stack = _key_stack(keys.reshape(padded.shape), k, w)
     stack.sort(axis=-1)
     if not span:  # every window sample is a candidate
-        return values[stack[:, n // 2]]
+        return values[stack[:, n // 2]].reshape(-1, w)
     labs = _run_stack(padded_lab, k)
     match = np.less(labs, labs[k // 2, k // 2])  # the center run is the anchor
     below = np.add.reduce(match.view(np.uint8), axis=(0, 1), dtype=np.min_scalar_type(n))
     np.equal(labs, labs[k // 2, k // 2], out=match)
     count = np.add.reduce(match.view(np.uint8), axis=(0, 1), dtype=below.dtype)
+    below, count = (sliding_window_view(run, w)[::width].ravel() for run in (below, count))
     start = np.arange(0, below.size * n, n) + below
     rank_mask = dtype((1 << rank_bits) - 1)
-    return _middle(count, lambda r: values.take(stack.take(start + r) & rank_mask))
+    return _middle(count, lambda r: values.take(stack.take(start + r) & rank_mask)).reshape(-1, w)
+
+
+def _network_median(padded, padded_lab, k) -> np.ndarray:
+    """The band's medians as one run (_runs), by a selection network over the runs."""
+    n = k * k
+    if padded_lab is None:
+        return _select(_runs(padded, k), (n // 2,), views=True)[0]
+    planes = _runs(padded, k)
+    labs = _runs(padded_lab, k)
+    count = np.zeros(planes[0].shape, dtype=np.min_scalar_type(n))
+    for i, lab in enumerate(labs):
+        match = lab == labs[n // 2]  # the center run is the anchor
+        count += match
+        planes[i] = np.where(match, planes[i], np.inf)
+    ranks = _select(planes, tuple(range(n // 2 + 1)))
+    return _middle(count, lambda r: _pick(ranks, r))
 
 
 def _band_median(padded, padded_lab, k, out) -> None:
     """Median over one band, by selection network for k <= 3 and by sorting each window's keys for larger k."""
-    n = k * k
     if k > _NETWORK_MAX_K:
-        median = _key_median(padded, padded_lab, k)
-    elif padded_lab is None:
-        median = _select(_runs(padded, k), (n // 2,), views=True)[0]
+        out[...] = _key_median(padded, padded_lab, k)
     else:
-        planes = _runs(padded, k)
-        labs = _runs(padded_lab, k)
-        count = np.zeros(planes[0].shape, dtype=np.min_scalar_type(n))
-        for i, lab in enumerate(labs):
-            match = lab == labs[n // 2]  # the center run is the anchor
-            count += match
-            planes[i] = np.where(match, planes[i], np.inf)
-        ranks = _select(planes, tuple(range(n // 2 + 1)))
-        median = _middle(count, lambda r: _pick(ranks, r))
-    out[...] = sliding_window_view(median, out.shape[1])[:: padded.shape[1]]
+        median = _network_median(padded, padded_lab, k)
+        out[...] = sliding_window_view(median, out.shape[1])[:: padded.shape[1]]
     out += 0.0  # -0.0 + 0.0 is +0.0, and no other value changes: a zero median is always +0.0
 
 

@@ -323,9 +323,10 @@ def _filter_on_threads(workers, img, labels, statistic, mode):
 def test_median_memory_is_bounded_by_the_band(workers):
     # A whole-image k = 7 window stack of float64 samples would be
     # 49 * 240 * 240 * 8 bytes (~22.6 MB); the banded median holds one band's
-    # uint32 key stack per filtering thread, so two filters at once (the
-    # pipeline's calling thread and a helper) stay under the same quarter of
-    # one whole-image stack.
+    # uint32 key stack (0.80 MB) per filtering thread, with the column array
+    # it is gathered from (7 keys per halo pixel, 0.12 MB) while the stack is
+    # built, so two filters at once (the pipeline's calling thread and a
+    # helper) stay under the same quarter of one whole-image stack.
     gen = np.random.default_rng(3)
     img = gen.random((240, 240)) * 255.0
     labels = gen.integers(0, 2, size=(240, 240), dtype=np.int64)
@@ -465,18 +466,20 @@ def _key_median_image(gen, case, shape):
     return gen.choice(np.array([-1e308, -7.25, -1.0, 0.0, 0.5, 3.0, 1e308]), size=shape)
 
 
-@pytest.mark.parametrize("k", [5, 7])
+@pytest.mark.parametrize("k", [5, 7, 9])
 @pytest.mark.parametrize("case", ["equal runs", "extremes"])
 @pytest.mark.parametrize("band_rows", [None, 1])
 @pytest.mark.parametrize("key_bits", [32, 8])
 def test_key_median_matches_oracle_bit_for_bit(monkeypatch, k, case, band_rows, key_bits):
     # band_rows=1: one output row per band, so each band's argsort ranks only k rows;
-    # key_bits=8 leaves no band enough bits for uint32 keys, so every band sorts uint64 keys
+    # key_bits=8 leaves no band enough bits for uint32 keys, so every band sorts uint64 keys.
+    # The key stack holds output pixels only, so images narrower than the window
+    # (one, two or four columns) leave it far narrower than the halo band.
     monkeypatch.setattr(filters, "_KEY_BITS", key_bits)
     if band_rows is not None:
         monkeypatch.setattr(filters, "_band_rows", lambda statistic, k, w: band_rows)
     gen = np.random.default_rng(k)
-    for shape in ((17, 19), (1, 23)):
+    for shape in ((17, 19), (1, 23), (23, 1), (9, 4), (40, 2)):
         img = _key_median_image(gen, case, shape)
         labels = gen.integers(0, 2, size=shape, dtype=np.int64)
         want = _oracle_filters(img, labels, k, "median")
@@ -484,6 +487,24 @@ def test_key_median_matches_oracle_bit_for_bit(monkeypatch, k, case, band_rows, 
             got = _all_filters(img, labels, k, "median")
         for key, value in got.items():
             assert value.tobytes() == want[key].tobytes(), (key, shape)
+
+
+@pytest.mark.parametrize("k", [5, 7, 9])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 23), (3, 2), (12, 30)])
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+def test_key_stack_rows_hold_each_output_pixels_window_keys(k, shape, dtype):
+    # The two-step gather lists a window's keys column by column, the run
+    # stack row by row: the same keys, one row per output pixel and no row
+    # for the k - 1 halo columns that _run_stack computes and drops.
+    rows, w = shape
+    width = w + k - 1
+    gen = np.random.default_rng(rows * 100 + w + k)
+    keys = gen.permutation((rows + k - 1) * width).astype(dtype).reshape(rows + k - 1, width)
+    stack = filters._key_stack(keys, k, w)
+    assert stack.shape == (rows * w, k * k) and stack.dtype == keys.dtype
+    runs = filters._run_stack(keys, k).reshape(k * k, -1)
+    for y, x in np.ndindex(rows, w):
+        assert np.array_equal(np.sort(stack[y * w + x]), np.sort(runs[:, y * width + x])), (y, x)
 
 
 @pytest.mark.parametrize("choices", [(0, 5, 2**31 - 1, 2**31), (2**31 - 1, 2**31)])
